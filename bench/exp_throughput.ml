@@ -20,7 +20,11 @@
      optimisation);
    - [superblock_speedup_ok]: the geometric-mean speedup over the grid
      clears the floor below.  The ratio of two wall-clocks on one host
-     is host-independent enough to gate on, unlike the MIPS columns. *)
+     is host-independent enough to gate on, unlike the MIPS columns;
+   - [alloc_budget_ok]: every cell, under both engines, allocates at
+     most [alloc_budget] minor-heap words per simulated instruction
+     while it runs.  The count is deterministic, so this gates with no
+     timing noise. *)
 
 open Common
 module J = Shift.Results
@@ -37,6 +41,11 @@ let modes = [ ("uninstr", Mode.Uninstrumented); ("word", word); ("byte", byte) ]
    only catches the compiler being disabled or badly regressed. *)
 let speedup_floor = 1.3
 
+(* the CI ceiling on minor-heap words per simulated instruction: the
+   engines keep register values unboxed, so what remains is syscall and
+   bookkeeping work (measured <= 0.02 on the grid, see EXPERIMENTS.md) *)
+let alloc_budget = 0.2
+
 (* smoke kernels for the differential fast-vs-reference check *)
 let smoke = List.filter_map Spec.find [ "gzip"; "mcf" ]
 
@@ -49,10 +58,16 @@ let fresh_run ?(superblocks = true) k mode =
   in
   let t0 = Unix.gettimeofday () in
   let live = Shift.Session.start ~config image in
+  let w0 = Gc.minor_words () in
   (match Shift.Session.advance live ~budget:max_int with
   | `Finished _ | `Yielded -> ());
+  let words = Gc.minor_words () -. w0 in
   let wall = Unix.gettimeofday () -. t0 in
-  (Shift.Session.report live, Shift.Session.superblock_stats live, wall)
+  let report = Shift.Session.report live in
+  let per_instr =
+    words /. float_of_int (max 1 report.Shift.Report.stats.Stats.instructions)
+  in
+  (report, Shift.Session.superblock_stats live, wall, per_instr)
 
 let mips (stats : Stats.t) wall =
   if wall <= 0. then 0. else float_of_int stats.Stats.instructions /. wall /. 1e6
@@ -88,6 +103,8 @@ type run = {
   sb : Stats.superblocks;
   wall : float;  (* superblocks on *)
   interp_wall : float;  (* superblocks off *)
+  words : float;  (* minor words per instruction, superblocks on *)
+  interp_words : float;  (* ... and off *)
   identical : bool;  (* full reports byte-identical on vs off *)
 }
 
@@ -107,8 +124,8 @@ let throughput () =
       (fun k ->
         List.map
           (fun (mode_name, mode) ->
-            let report, sb, wall = fresh_run k mode in
-            let interp_report, _, interp_wall =
+            let report, sb, wall, words = fresh_run k mode in
+            let interp_report, _, interp_wall, interp_words =
               fresh_run ~superblocks:false k mode
             in
             {
@@ -118,6 +135,8 @@ let throughput () =
               sb;
               wall;
               interp_wall;
+              words;
+              interp_words;
               identical = report_bytes report = report_bytes interp_report;
             })
           modes)
@@ -127,7 +146,7 @@ let throughput () =
     ~columns:
       [
         "kernel"; "mode"; "instructions"; "sim MIPS"; "interp MIPS"; "speedup";
-        "report";
+        "words/instr"; "report";
       ]
     (List.map
        (fun r ->
@@ -139,6 +158,7 @@ let throughput () =
            Printf.sprintf "%.2f" (mips s r.wall);
            Printf.sprintf "%.2f" (mips s r.interp_wall);
            Printf.sprintf "%.2fx" (speedup r);
+           Printf.sprintf "%.3f/%.3f" r.words r.interp_words;
            (if r.identical then "identical" else "MISMATCH");
          ])
        runs);
@@ -151,6 +171,12 @@ let throughput () =
   note "superblocks vs interpreter: reports %s, geomean speedup %.2fx (floor %.1fx)"
     (if sb_identical then "identical" else "MISMATCH")
     mean_speedup speedup_floor;
+  let alloc_ok =
+    List.for_all (fun r -> r.words <= alloc_budget && r.interp_words <= alloc_budget) runs
+  in
+  note "words/instr = minor-heap words allocated per simulated instruction";
+  note "(superblocks/interpreter), deterministic: %s the %.1f budget"
+    (if alloc_ok then "every cell within" else "OVER") alloc_budget;
   (* differential check: fast paths vs the byte-at-a-time reference *)
   let consistency =
     List.concat_map
@@ -163,9 +189,9 @@ let throughput () =
                 ~finally:(fun () -> Memory.fast_path := was)
                 (fun () ->
                   Memory.fast_path := true;
-                  let fast, _, _ = fresh_run k mode in
+                  let fast, _, _, _ = fresh_run k mode in
                   Memory.fast_path := false;
-                  let refr, _, _ = fresh_run k mode in
+                  let refr, _, _, _ = fresh_run k mode in
                   (fast.Shift.Report.stats, refr.Shift.Report.stats))
             in
             let ok = counters fast = counters refr in
@@ -203,6 +229,8 @@ let throughput () =
                    ( "interp_mips",
                      J.Float (mips r.report.Shift.Report.stats r.interp_wall) );
                    ("superblock_speedup", J.Float (speedup r));
+                   ("alloc_words_per_instr", J.Float r.words);
+                   ("interp_alloc_words_per_instr", J.Float r.interp_words);
                    ("superblocks", sb_json r.sb);
                    ("report_identical", J.Bool r.identical);
                  ])
@@ -224,4 +252,6 @@ let throughput () =
       ("superblock_consistent", J.Bool sb_identical);
       ("superblock_geomean_speedup", J.Float mean_speedup);
       ("superblock_speedup_ok", J.Bool (sb_identical && mean_speedup >= speedup_floor));
+      ("alloc_budget", J.Float alloc_budget);
+      ("alloc_budget_ok", J.Bool alloc_ok);
     ]

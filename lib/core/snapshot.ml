@@ -96,15 +96,15 @@ let version = 2
 
 let export_cpu ~traced (cpu : Cpu.t) =
   {
-    h_values = Array.copy cpu.Cpu.values;
+    h_values = Array.init Shift_isa.Reg.count (Cpu.get_value cpu);
     h_nats = Array.copy cpu.Cpu.nats;
     h_preds = Array.copy cpu.Cpu.preds;
-    h_unat = cpu.Cpu.unat;
+    h_unat = Cpu.get_unat cpu;
     h_ip = cpu.Cpu.ip;
     h_stats = Stats.copy cpu.Cpu.stats;
     h_pipe = Pipeline.export cpu.Cpu.pipe;
     h_cache = Cache.export cpu.Cpu.cache;
-    h_call_stack = List.of_seq (Stack.to_seq cpu.Cpu.call_stack);
+    h_call_stack = Cpu.call_frames cpu;
     h_ftregs =
       (if traced then
          Some
@@ -130,24 +130,21 @@ let import_stats (src : Stats.t) (dst : Stats.t) =
     (Array.length src.Stats.slots_by_prov)
 
 let import_cpu hart (cpu : Cpu.t) =
-  if Array.length hart.h_values <> Array.length cpu.Cpu.values then
+  if Array.length hart.h_values <> Shift_isa.Reg.count then
     invalid_arg "Snapshot.import_cpu: register file arity mismatch";
   if Array.length hart.h_nats <> Array.length cpu.Cpu.nats then
     invalid_arg "Snapshot.import_cpu: NaT file arity mismatch";
   if Array.length hart.h_preds <> Array.length cpu.Cpu.preds then
     invalid_arg "Snapshot.import_cpu: predicate file arity mismatch";
-  Array.blit hart.h_values 0 cpu.Cpu.values 0 (Array.length hart.h_values);
+  Array.iteri (fun r v -> Bytes.set_int64_le cpu.Cpu.values (r * 8) v) hart.h_values;
   Array.blit hart.h_nats 0 cpu.Cpu.nats 0 (Array.length hart.h_nats);
   Array.blit hart.h_preds 0 cpu.Cpu.preds 0 (Array.length hart.h_preds);
-  cpu.Cpu.unat <- hart.h_unat;
+  Cpu.set_unat cpu hart.h_unat;
   cpu.Cpu.ip <- hart.h_ip;
   import_stats hart.h_stats cpu.Cpu.stats;
   Pipeline.import cpu.Cpu.pipe hart.h_pipe;
   Cache.import cpu.Cpu.cache hart.h_cache;
-  Stack.clear cpu.Cpu.call_stack;
-  List.iter
-    (fun frame -> Stack.push frame cpu.Cpu.call_stack)
-    (List.rev hart.h_call_stack);
+  Cpu.set_call_frames cpu hart.h_call_stack;
   match hart.h_ftregs with
   | None -> ()
   | Some (ids, depths) ->
@@ -1295,6 +1292,45 @@ let to_json t =
     | None -> []
     | Some d -> [ ("tracking", tracking_to_json d) ])
 
+(* A restored hart resumes at its [ip] and later returns to every
+   call-stack target, so each must lie in the program it runs, or at its
+   end: [ip = size] is where a program that runs off its last
+   instruction stands, and it faults on the next step.  Anything further
+   out was never produced by a run and is refused here rather than
+   surfacing as a guest fault after the restore. *)
+let check_targets ~(image : Image.t) ~config machine =
+  let check ~what (program : Shift_isa.Program.t) h =
+    let size = Shift_isa.Program.size program in
+    if h.h_ip < 0 || h.h_ip > size then
+      bad "%s: ip %d outside the program (0..%d)" what h.h_ip size;
+    List.iter
+      (fun (ret, _) ->
+        if ret < 0 || ret > size then
+          bad "%s: call-stack return target %d outside the program (0..%d)" what
+            ret size)
+      h.h_call_stack
+  in
+  match machine with
+  | M_cpu h -> check ~what:"hart" image.Image.program h
+  | M_smp { sm_harts; _ } ->
+      List.iter
+        (fun (id, _, h) -> check ~what:(Printf.sprintf "hart %d" id) image.Image.program h)
+        sm_harts
+  | M_procs { pm_procs; _ } ->
+      List.iter
+        (fun p ->
+          let what = Printf.sprintf "process %d" p.ps_pid in
+          let program =
+            match p.ps_image with
+            | None -> image.Image.program
+            | Some name -> (
+                match List.assoc_opt name config.c_images with
+                | Some (img : Image.t) -> img.Image.program
+                | None -> bad "%s runs unknown image %S" what name)
+          in
+          check ~what program p.ps_hart)
+        pm_procs
+
 let of_json j =
   try
     (match Results.member "kind" j with
@@ -1311,15 +1347,18 @@ let of_json j =
       try Marshal.from_string (hex_decode (sfield "image" j)) 0
       with Failure _ -> bad "corrupt embedded image"
     in
+    let config = config_of_json (field "config" j) in
+    let machine = machine_of_json (field "machine" j) in
+    check_targets ~image ~config machine;
     Ok
       {
         meta;
         image;
-        config = config_of_json (field "config" j);
+        config;
         fuel_left = ifield "fuel_left" j;
         result = as_opt outcome_of_json (field "result" j);
         memory = pages_of_json (field "memory" j);
-        machine = machine_of_json (field "machine" j);
+        machine;
         world = world_of_json (field "world" j);
         flow = as_opt flow_of_json (field "flow" j);
         tracking =

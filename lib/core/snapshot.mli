@@ -197,10 +197,15 @@ val to_json : t -> Results.json
     hashtable-backed state is sorted before emission. *)
 
 val of_json : Results.json -> (t, string) result
+(** Decode a snapshot.  [Error] on malformed JSON, on a version other
+    than {!version}, and on a hart whose [ip] or any call-stack return
+    target lies outside [\[0, size\]] of the program it runs (size is
+    the instruction count; [ip = size] is where a program that ran off
+    its last instruction stands). *)
 
 val save : string -> t -> unit
 (** Write [to_json] (pretty-printed) to a file, atomically (write to a
     temporary sibling, then rename). *)
 
 val load : string -> (t, string) result
-(** Read and parse a snapshot file. *)
+(** Read and parse a snapshot file; errors as {!of_json}. *)

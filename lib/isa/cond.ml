@@ -1,17 +1,22 @@
 type t = Eq | Ne | Lt | Le | Gt | Ge | Ltu | Leu | Gtu | Geu
 
-let eval c a b =
+(* The condition over the results of a signed and an unsigned
+   three-way comparison: plain [int]s, so the instruction engines can
+   compare register values in place and never box them to call here. *)
+let holds c ~signed ~unsigned =
   match c with
-  | Eq -> Int64.equal a b
-  | Ne -> not (Int64.equal a b)
-  | Lt -> Int64.compare a b < 0
-  | Le -> Int64.compare a b <= 0
-  | Gt -> Int64.compare a b > 0
-  | Ge -> Int64.compare a b >= 0
-  | Ltu -> Int64.unsigned_compare a b < 0
-  | Leu -> Int64.unsigned_compare a b <= 0
-  | Gtu -> Int64.unsigned_compare a b > 0
-  | Geu -> Int64.unsigned_compare a b >= 0
+  | Eq -> signed = 0
+  | Ne -> signed <> 0
+  | Lt -> signed < 0
+  | Le -> signed <= 0
+  | Gt -> signed > 0
+  | Ge -> signed >= 0
+  | Ltu -> unsigned < 0
+  | Leu -> unsigned <= 0
+  | Gtu -> unsigned > 0
+  | Geu -> unsigned >= 0
+
+let eval c a b = holds c ~signed:(Int64.compare a b) ~unsigned:(Int64.unsigned_compare a b)
 
 let negate = function
   | Eq -> Ne

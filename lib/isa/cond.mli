@@ -15,6 +15,11 @@ type t =
 val eval : t -> int64 -> int64 -> bool
 (** [eval c a b] evaluates [a c b]. *)
 
+val holds : t -> signed:int -> unsigned:int -> bool
+(** [holds c ~signed ~unsigned] is [eval c a b] given
+    [signed = Int64.compare a b] and
+    [unsigned = Int64.unsigned_compare a b]. *)
+
 val negate : t -> t
 (** The condition with the opposite truth value. *)
 

@@ -2,7 +2,7 @@ type t = {
   line_shift : int;
   set_count : int;
   set_mask : int;  (* set_count - 1 when a power of two, else -1 *)
-  lines : int64 array;  (* line address per set; -1 = invalid *)
+  lines : int array;  (* line address per set; -1 = invalid *)
   mutable hit_count : int;
   mutable miss_count : int;
 }
@@ -19,6 +19,9 @@ let create ?(size_kb = 16) ?(line_bytes = 64) () =
   if line_bytes <= 0 then
     invalid_arg
       (Printf.sprintf "Cache.create: line_bytes must be positive (got %d)" line_bytes);
+  if line_bytes < 8 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: line_bytes must be at least 8 (got %d)" line_bytes);
   if line_bytes land (line_bytes - 1) <> 0 then
     invalid_arg
       (Printf.sprintf "Cache.create: line_bytes must be a power of two (got %d)"
@@ -32,31 +35,35 @@ let create ?(size_kb = 16) ?(line_bytes = 64) () =
     line_shift = log2 line_bytes;
     set_count;
     set_mask = (if set_count land (set_count - 1) = 0 then set_count - 1 else -1);
-    lines = Array.make set_count (-1L);
+    lines = Array.make set_count (-1);
     hit_count = 0;
     miss_count = 0;
   }
 
-(* the power-of-two geometry (the default) indexes with a mask; the
-   unsigned remainder below computes the same set, one division
-   slower, for exotic sizes *)
-let set_of t addr =
-  let line = Int64.shift_right_logical addr t.line_shift in
-  if t.set_mask >= 0 then Int64.to_int line land t.set_mask
-  else Int64.to_int (Int64.unsigned_rem line (Int64.of_int t.set_count))
+(* The line address [a >>> line_shift] of the packed address [pa]
+   (see {!Shift_mem.Addr.pack}): lines are at least 8 bytes, so it is
+   below 2^61 and an exact [int]. *)
+let line_of t pa =
+  ((pa lsr Shift_mem.Addr.impl_bits) lsl (Shift_mem.Addr.region_shift - t.line_shift))
+  lor ((pa land ((1 lsl Shift_mem.Addr.impl_bits) - 1)) lsr t.line_shift)
 
-let access t addr =
-  let line = Int64.shift_right_logical addr t.line_shift in
-  let set =
-    if t.set_mask >= 0 then Int64.to_int line land t.set_mask
-    else Int64.to_int (Int64.unsigned_rem line (Int64.of_int t.set_count))
-  in
-  if Int64.equal t.lines.(set) line then begin
+(* the power-of-two geometry (the default) indexes with a mask; the
+   remainder below computes the same set, one division slower, for
+   exotic sizes (line addresses are non-negative) *)
+let set_of_line t line =
+  if t.set_mask >= 0 then line land t.set_mask else line mod t.set_count
+
+let set_of t pa = set_of_line t (line_of t pa)
+
+let access t pa =
+  let line = line_of t pa in
+  let set = set_of_line t line in
+  if Array.unsafe_get t.lines set = line then begin
     t.hit_count <- t.hit_count + 1;
     true
   end
   else begin
-    t.lines.(set) <- line;
+    Array.unsafe_set t.lines set line;
     t.miss_count <- t.miss_count + 1;
     false
   end
@@ -75,7 +82,7 @@ type snap = {
 
 let export t =
   {
-    s_lines = Array.copy t.lines;
+    s_lines = Array.map Int64.of_int t.lines;
     s_hits = t.hit_count;
     s_misses = t.miss_count;
     s_line_shift = t.line_shift;
@@ -86,6 +93,14 @@ let import t s =
     invalid_arg "Cache.import: set count mismatch";
   if s.s_line_shift <> t.line_shift then
     invalid_arg "Cache.import: line size mismatch";
-  Array.blit s.s_lines 0 t.lines 0 t.set_count;
+  (* a resident line is an address shifted right by line_shift; -1 is
+     an empty set *)
+  let top = Int64.shift_left 1L (64 - t.line_shift) in
+  Array.iter
+    (fun l ->
+      if Int64.compare l (-1L) < 0 || Int64.compare l top >= 0 then
+        invalid_arg "Cache.import: line address out of range")
+    s.s_lines;
+  Array.iteri (fun i l -> t.lines.(i) <- Int64.to_int l) s.s_lines;
   t.hit_count <- s.s_hits;
   t.miss_count <- s.s_misses

@@ -14,16 +14,19 @@ val create : ?size_kb:int -> ?line_bytes:int -> unit -> t
 
     @raise Invalid_argument on degenerate geometry: zero or negative
     sizes, a non-power-of-two [line_bytes] (which would silently
-    misattribute addresses to lines), or [line_bytes] larger than the
+    misattribute addresses to lines), [line_bytes] below 8 (a line
+    smaller than a word; it also keeps every line address an exact
+    [int]), or [line_bytes] larger than the
     whole cache (which would leave zero sets and defer a
     [Division_by_zero] to the first access). *)
 
-val access : t -> int64 -> bool
-(** Look up the line containing the address and allocate it; [true] on
-    hit. *)
+val access : t -> int -> bool
+(** Look up the line containing the packed address (see
+    {!Shift_mem.Addr.pack}) and allocate it; [true] on hit.  Takes an
+    [int] so the call never boxes the address. *)
 
-val set_of : t -> int64 -> int
-(** The set index the address maps to — what a cache-set side channel
+val set_of : t -> int -> int
+(** The set index the packed address maps to — what a cache-set side channel
     observes.  Pure: does not touch the resident lines or counters. *)
 
 val hits : t -> int
@@ -35,7 +38,9 @@ val miss_penalty : int
 (** {1 Checkpoint/restore}
 
     The resident line per set plus the hit/miss counters, as plain
-    data.  Restoring reproduces the exact hit/miss sequence — and so
+    data (line addresses widened to [int64] at this boundary, so the
+    snapshot format does not depend on the in-memory representation).
+    Restoring reproduces the exact hit/miss sequence — and so
     the exact load latencies — of the unbroken run. *)
 
 type snap = {
@@ -48,7 +53,8 @@ type snap = {
 val export : t -> snap
 
 val import : t -> snap -> unit
-(** @raise Invalid_argument if the set counts or line sizes differ (the
+(** @raise Invalid_argument if the set counts or line sizes differ, or
+    a line address is out of range (the
     restored cache must be created with the same geometry — a snap taken
     under different [line_bytes] would silently diverge the hit/miss
     sequence after restore). *)

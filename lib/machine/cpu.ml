@@ -1,14 +1,16 @@
 open Shift_isa
 module Tracking = Shift_tracking.Tracking
+module Memory = Shift_mem.Memory
+module Addr = Shift_mem.Addr
 
 type t = {
   program : Program.t;
   decoded : Decode.t;
-  mem : Shift_mem.Memory.t;
-  values : int64 array;
+  mem : Memory.t;
+  values : Bytes.t;
   nats : bool array;
   preds : bool array;
-  mutable unat : int64;
+  unat : Bytes.t;
   mutable ip : int;
   stats : Stats.t;
   pipe : Pipeline.t;
@@ -18,9 +20,17 @@ type t = {
   mutable flowtrace : Flowtrace.t;
   ftregs : Flowtrace.regs;
   mutable hwtrace : Hwtrace.t;
-  call_stack : (int * int64) Stack.t;
+  call_stack : call_stack;
   sb : sb;
   mutable tracking : Tracking.t;
+}
+
+(* Return frames: the return ip and the caller's UNAT, in two growable
+   arrays (8 bytes of [unats] per frame) that start small and double. *)
+and call_stack = {
+  mutable ret_ips : int array;
+  mutable ret_unats : Bytes.t;
+  mutable depth : int;
 }
 
 (* Superblock compiler state (see {!Superblock}).  Lives on the machine
@@ -65,11 +75,11 @@ let create ?(entry = "_start") ?mem program =
   {
     program;
     decoded = Decode.of_program program;
-    mem = (match mem with Some m -> m | None -> Shift_mem.Memory.create ());
-    values = Array.make Reg.count 0L;
+    mem = (match mem with Some m -> m | None -> Memory.create ());
+    values = Bytes.make (Reg.count * 8) '\000';
     nats = Array.make Reg.count false;
     preds;
-    unat = 0L;
+    unat = Bytes.make 8 '\000';
     ip = (if Program.has_label program entry then Program.target program entry else 0);
     stats = Stats.create ();
     pipe = Pipeline.create ();
@@ -79,7 +89,7 @@ let create ?(entry = "_start") ?mem program =
     flowtrace = Flowtrace.disabled ();
     ftregs = Flowtrace.fresh_regs ();
     hwtrace = Hwtrace.disabled ();
-    call_stack = Stack.create ();
+    call_stack = { ret_ips = [||]; ret_unats = Bytes.empty; depth = 0 };
     sb =
       {
         sb_on = true;
@@ -91,22 +101,62 @@ let create ?(entry = "_start") ?mem program =
     tracking = Tracking.default;
   }
 
-let get_value t r = t.values.(r)
+(* ---------- the register file ----------
 
-let set_value t r v = if r <> Reg.zero then t.values.(r) <- v
+   Everything below that touches an [int64] register value does so in
+   locals of this compilation unit, through the [@inline] accessors, so
+   the value stays unboxed: the build's default profile compiles with
+   -opaque, and an [int64] passed to or returned from another module
+   (or any call that is not inlined) is boxed on the minor heap. *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Unchecked little-endian slots: register operands are range-checked
+   once, when the program is decoded ({!Decode.of_program}), and the
+   UNAT and frame slots are in range by construction. *)
+let[@inline] get64 b i = if Sys.big_endian then swap64 (get64u b i) else get64u b i
+let[@inline] set64 b i v = set64u b i (if Sys.big_endian then swap64 v else v)
+
+let[@inline] reg t r = get64 t.values (r lsl 3)
+
+let[@inline] set_reg t r v = if r <> Reg.zero then set64 t.values (r lsl 3) v
+
+(* NaT bits and predicates, unchecked for the same reason *)
+let[@inline] nat t r = Array.unsafe_get t.nats r
+let[@inline] put_nat t r b = Array.unsafe_set t.nats r b
+
+let[@inline] unat t = get64 t.unat 0
+
+let[@inline] set_unat_v t v = set64 t.unat 0 v
+
+(* the boundary accessors take any [int], so they keep the bounds check *)
+let get_value t r = Bytes.get_int64_le t.values (r lsl 3)
+
+let set_value t r v = if r <> Reg.zero then Bytes.set_int64_le t.values (r lsl 3) v
 
 let get_nat t r = t.nats.(r)
 
 let set_nat t r b = if r <> Reg.zero then t.nats.(r) <- b
 
+(* the engines' NaT write: r0's NaT bit stays clear *)
+let[@inline] write_nat t r b = if r <> Reg.zero then put_nat t r b
+
+let get_unat t = unat t
+
+let set_unat t v = set_unat_v t v
+
 let add_io_cycles t n =
   t.stats.io_cycles <- t.stats.io_cycles + n;
   Pipeline.stall t.pipe n
 
-let shift_amount b = Int64.to_int (Int64.logand b 63L)
+(* ---------- value semantics, shared by both engines ---------- *)
 
-let eval_arith a x y =
-  match (a : Instr.arith) with
+let[@inline] shift_amount b = Int64.to_int (Int64.logand b 63L)
+
+let[@inline] arith (a : Instr.arith) x y =
+  match a with
   | Instr.Add -> Int64.add x y
   | Instr.Sub -> Int64.sub x y
   | Instr.Mul -> Int64.mul x y
@@ -126,33 +176,101 @@ let eval_arith a x y =
   | Instr.Shr -> Int64.shift_right_logical x (shift_amount y)
   | Instr.Sar -> Int64.shift_right x (shift_amount y)
 
-let operand_value t = function
-  | Instr.R r -> t.values.(r)
-  | Instr.Imm i -> i
+let[@inline] cond c x y =
+  Cond.holds c ~signed:(Int64.compare x y) ~unsigned:(Int64.unsigned_compare x y)
+
+(* one function per operand shape: a match yielding either a register
+   value or the boxed immediate would box the register value *)
+let arith_reg t a ~dst ~s1 ~s2 = set_reg t dst (arith a (reg t s1) (reg t s2))
+let arith_imm t a ~dst ~s1 imm = set_reg t dst (arith a (reg t s1) imm)
 
 let operand_nat t = function
-  | Instr.R r -> t.nats.(r)
+  | Instr.R r -> nat t r
   | Instr.Imm _ -> false
 
-let set_pred t p b = if p <> Pred.p0 then t.preds.(p) <- b
+let unimplemented_bits =
+  Int64.logxor (Int64.sub (Int64.shift_left 1L Addr.region_shift) 1L) Addr.impl_mask
 
-let unat_bit addr = Int64.to_int (Int64.logand (Int64.shift_right_logical addr 3) 63L)
+let null_guard = Int64.to_int Addr.null_guard
+
+(* The packed address (see {!Addr.pack}) register [r] holds, or -1 when
+   the value is not a valid address: canonical and past the null
+   guard, exactly {!Addr.is_valid}. *)
+let[@inline] packed t r =
+  let a = reg t r in
+  if not (Int64.equal (Int64.logand a unimplemented_bits) 0L) then -1
+  else
+    let off = Int64.to_int (Int64.logand a Addr.impl_mask) in
+    if off < null_guard then -1
+    else (Int64.to_int (Int64.shift_right_logical a Addr.region_shift) lsl Addr.impl_bits) lor off
+
+(* A guest load's register effect: the value, and the NaT bit from the
+   UNAT bit covering the address for [ld.fill].  r0 stays zero (the
+   access itself still happens, as it allocates the page). *)
+let load_reg t pa ~width ~dst ~fill =
+  Memory.load t.mem pa ~width t.values (dst lsl 3);
+  if dst = Reg.zero then set64 t.values 0 0L
+  else
+    put_nat t dst
+      (fill && Int64.logand (Int64.shift_right_logical (unat t) ((pa lsr 3) land 63)) 1L = 1L)
+
+(* A guest store's effect once its checks passed: [st.spill] first
+   parks the NaT bit of [src] in UNAT *)
+let store_reg t pa ~width ~src ~spill =
+  if spill then begin
+    let mask = Int64.shift_left 1L ((pa lsr 3) land 63) in
+    let u = unat t in
+    set_unat_v t (if nat t src then Int64.logor u mask else Int64.logand u (Int64.lognot mask))
+  end;
+  Memory.store t.mem pa ~width t.values (src lsl 3)
+
+let set_pred t p b = if p <> Pred.p0 then Array.unsafe_set t.preds p b
 
 let goto t target =
   t.ip <- target;
   t.stats.branches <- t.stats.branches + 1;
   Pipeline.redirect t.pipe ~penalty:branch_penalty
 
-let push_call t =
-  if Stack.length t.call_stack >= call_stack_limit then
-    raise (Fault_exn Fault.Call_stack_overflow);
-  Stack.push (t.ip + 1, t.unat) t.call_stack
+(* ---------- the call stack ---------- *)
 
-let indirect_target t v =
-  let n = Int64.to_int v in
-  if Int64.compare v 0L < 0 || n >= Program.size t.program then
-    raise (Fault_exn (Fault.Invalid_branch v));
-  n
+let grow_call_stack cs =
+  let n = min call_stack_limit (max 16 (2 * cs.depth)) in
+  let ips = Array.make n 0 and unats = Bytes.make (n * 8) '\000' in
+  Array.blit cs.ret_ips 0 ips 0 cs.depth;
+  Bytes.blit cs.ret_unats 0 unats 0 (cs.depth * 8);
+  cs.ret_ips <- ips;
+  cs.ret_unats <- unats
+
+let[@inline] push_frame t ~ret ~unat_v =
+  let cs = t.call_stack in
+  let n = cs.depth in
+  if n >= call_stack_limit then raise (Fault_exn Fault.Call_stack_overflow);
+  if n = Array.length cs.ret_ips then grow_call_stack cs;
+  cs.ret_ips.(n) <- ret;
+  set64 cs.ret_unats (n * 8) unat_v;
+  cs.depth <- n + 1
+
+let push_call t = push_frame t ~ret:(t.ip + 1) ~unat_v:(unat t)
+
+let call_frames t =
+  let cs = t.call_stack in
+  List.init cs.depth (fun i ->
+      let k = cs.depth - 1 - i in
+      (cs.ret_ips.(k), get64 cs.ret_unats (k * 8)))
+
+let set_call_frames t frames =
+  if List.length frames > call_stack_limit then
+    invalid_arg "Cpu.set_call_frames: deeper than the call-stack limit";
+  t.call_stack.depth <- 0;
+  List.iter (fun (ret, u) -> push_frame t ~ret ~unat_v:u) (List.rev frames)
+
+(* the range check is on the [int64]: [Int64.to_int] of a target at or
+   past 2^62 would wrap negative and slip through an [int] check *)
+let indirect_target t r =
+  let v = reg t r in
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int (Program.size t.program)) >= 0
+  then raise (Fault_exn (Fault.Invalid_branch v));
+  Int64.to_int v
 
 (* Executes the functional effect of one instruction whose qualifying
    predicate is true, and advances [t.ip].  [d.target] carries the
@@ -168,24 +286,26 @@ let exec_op t (d : Decode.info) =
   match d.Decode.op with
   | Instr.Nop ->
       t.ip <- t.ip + 1
-  | Instr.Halt -> raise (Halt_exn t.values.(Reg.ret))
+  | Instr.Halt -> raise (Halt_exn (reg t Reg.ret))
   | Instr.Movi (d, v) ->
-      set_value t d v;
-      set_nat t d false;
+      set_reg t d v;
+      write_nat t d false;
       if ft_on then Flowtrace.on_const ft t.ftregs ~dst:d;
       t.ip <- t.ip + 1
   | Instr.Mov (d, s) ->
-      set_value t d t.values.(s);
-      set_nat t d t.nats.(s);
+      set_reg t d (reg t s);
+      write_nat t d (nat t s);
       if ft_on then Flowtrace.on_move ft t.ftregs ~ip:t.ip ~dst:d ~src:s;
       t.ip <- t.ip + 1
   | Instr.Lea (dst, _) ->
-      set_value t dst (Int64.of_int d.Decode.target);
-      set_nat t dst false;
+      set_reg t dst (Int64.of_int d.Decode.target);
+      write_nat t dst false;
       if ft_on then Flowtrace.on_const ft t.ftregs ~dst;
       t.ip <- t.ip + 1
   | Instr.Arith (a, dst, s1, o) ->
-      let v = eval_arith a t.values.(s1) (operand_value t o) in
+      (match o with
+      | Instr.R s2 -> arith_reg t a ~dst ~s1 ~s2
+      | Instr.Imm i -> arith_imm t a ~dst ~s1 i);
       (* xor r = s, s and sub r = s, s are the recognised clear idioms
          (paper §3.3.2): the result does not depend on the source value,
          so the taint is purged. *)
@@ -194,35 +314,38 @@ let exec_op t (d : Decode.info) =
         | (Instr.Xor | Instr.Sub), Instr.R s2 -> s1 = s2
         | _ -> false
       in
-      let nat =
-        (not clear_idiom) && (t.nats.(s1) || operand_nat t o)
+      let tainted =
+        (not clear_idiom) && (nat t s1 || operand_nat t o)
       in
-      set_value t dst v;
-      set_nat t dst nat;
+      write_nat t dst tainted;
       if ft_on then
         Flowtrace.on_arith ft t.ftregs ~ip:t.ip ~dst ~src1:s1
           ~src2:(match o with Instr.R r -> Some r | Instr.Imm _ -> None)
           ~clear:clear_idiom;
       t.ip <- t.ip + 1
-  | Instr.Cmp { cond; pt; pf; src1; src2; taint_aware } ->
-      let nat = t.nats.(src1) || operand_nat t src2 in
-      if nat && not taint_aware then begin
+  | Instr.Cmp { cond = c; pt; pf; src1; src2; taint_aware } ->
+      let tainted = nat t src1 || operand_nat t src2 in
+      if tainted && not taint_aware then begin
         (* Baseline deferred-exception behaviour: survive speculation
            failure by clearing both branch predicates. *)
         set_pred t pt false;
         set_pred t pf false
       end
       else begin
-        let r = Cond.eval cond t.values.(src1) (operand_value t src2) in
+        let r =
+          match src2 with
+          | Instr.R s2 -> cond c (reg t src1) (reg t s2)
+          | Instr.Imm i -> cond c (reg t src1) i
+        in
         set_pred t pt r;
         set_pred t pf (not r)
       end;
       t.ip <- t.ip + 1
   | Instr.Tnat { pt; pf; src } ->
-      set_pred t pt t.nats.(src);
-      set_pred t pf (not t.nats.(src));
+      set_pred t pt (nat t src);
+      set_pred t pf (not (nat t src));
       if ft_on then
-        Flowtrace.on_check ft t.ftregs ~ip:t.ip ~src ~tainted:t.nats.(src);
+        Flowtrace.on_check ft t.ftregs ~ip:t.ip ~src ~tainted:(nat t src);
       t.ip <- t.ip + 1
   | Instr.Extr { dst; src; pos; len } ->
       (* a full-width extract (len = 64) must keep all 64 bits; shifting
@@ -230,57 +353,44 @@ let exec_op t (d : Decode.info) =
       let mask =
         if len >= 64 then -1L else Int64.sub (Int64.shift_left 1L (len land 63)) 1L
       in
-      set_value t dst (Int64.logand (Int64.shift_right_logical t.values.(src) (pos land 63)) mask);
-      set_nat t dst t.nats.(src);
+      set_reg t dst (Int64.logand (Int64.shift_right_logical (reg t src) (pos land 63)) mask);
+      write_nat t dst (nat t src);
       if ft_on then Flowtrace.on_move ft t.ftregs ~ip:t.ip ~dst ~src;
       t.ip <- t.ip + 1
   | Instr.Ld { width; dst; addr; spec; fill } ->
-      let a = t.values.(addr) in
-      let invalid = t.nats.(addr) || not (Shift_mem.Addr.is_valid a) in
-      if invalid then
+      let pa = if nat t addr then -1 else packed t addr in
+      if pa < 0 then
         if spec then begin
-          set_value t dst 0L;
-          set_nat t dst true;
+          set_reg t dst 0L;
+          write_nat t dst true;
           if ft_on then Flowtrace.on_spec_nat ft t.ftregs ~ip:t.ip ~dst
         end
-        else if t.nats.(addr) then
+        else if nat t addr then
           raise (Fault_exn (Fault.Nat_consumption Fault.Load_address))
-        else raise (Fault_exn (Fault.Invalid_address a))
+        else raise (Fault_exn (Fault.Invalid_address (reg t addr)))
       else begin
-        let v = Shift_mem.Memory.read t.mem a ~width:(Instr.bytes_of_width width) in
-        set_value t dst v;
-        set_nat t dst (fill && Int64.logand (Int64.shift_right_logical t.unat (unat_bit a)) 1L = 1L);
+        let w = Instr.bytes_of_width width in
+        load_reg t pa ~width:w ~dst ~fill;
         t.stats.loads <- t.stats.loads + 1;
-        if ft_on then
-          Flowtrace.on_load ft t.ftregs ~ip:t.ip ~dst ~addr:a
-            ~len:(Instr.bytes_of_width width)
+        if ft_on then Flowtrace.on_load ft t.ftregs ~ip:t.ip ~dst ~addr:(Addr.unpack pa) ~len:w
       end;
       t.ip <- t.ip + 1
   | Instr.St { width; addr; src; spill } ->
-      let a = t.values.(addr) in
-      if t.nats.(addr) then
+      if nat t addr then
         raise (Fault_exn (Fault.Nat_consumption Fault.Store_address));
-      if not (Shift_mem.Addr.is_valid a) then
-        raise (Fault_exn (Fault.Invalid_address a));
-      if t.nats.(src) && not spill then
+      let pa = packed t addr in
+      if pa < 0 then raise (Fault_exn (Fault.Invalid_address (reg t addr)));
+      if nat t src && not spill then
         raise (Fault_exn (Fault.Nat_consumption Fault.Store_value));
-      if spill then begin
-        let bit = unat_bit a in
-        let mask = Int64.shift_left 1L bit in
-        t.unat <-
-          (if t.nats.(src) then Int64.logor t.unat mask
-           else Int64.logand t.unat (Int64.lognot mask))
-      end;
-      Shift_mem.Memory.write t.mem a ~width:(Instr.bytes_of_width width) t.values.(src);
+      let w = Instr.bytes_of_width width in
+      store_reg t pa ~width:w ~src ~spill;
       t.stats.stores <- t.stats.stores + 1;
-      if ft_on then
-        Flowtrace.on_store ft t.ftregs ~ip:t.ip ~src ~addr:a
-          ~len:(Instr.bytes_of_width width);
+      if ft_on then Flowtrace.on_store ft t.ftregs ~ip:t.ip ~src ~addr:(Addr.unpack pa) ~len:w;
       t.ip <- t.ip + 1
   | Instr.Chk_s { src; _ } ->
       if ft_on then
-        Flowtrace.on_check ft t.ftregs ~ip:t.ip ~src ~tainted:t.nats.(src);
-      if t.nats.(src) then begin
+        Flowtrace.on_check ft t.ftregs ~ip:t.ip ~src ~tainted:(nat t src);
+      if nat t src then begin
         t.ip <- d.Decode.target;
         t.stats.branches <- t.stats.branches + 1;
         Pipeline.redirect t.pipe ~penalty:chk_penalty
@@ -288,33 +398,34 @@ let exec_op t (d : Decode.info) =
       else t.ip <- t.ip + 1
   | Instr.Br _ -> goto t d.Decode.target
   | Instr.Br_reg r ->
-      if t.nats.(r) then
+      if nat t r then
         raise (Fault_exn (Fault.Nat_consumption Fault.Branch_target));
-      goto t (indirect_target t t.values.(r))
+      goto t (indirect_target t r)
   | Instr.Call _ ->
       push_call t;
       goto t d.Decode.target
   | Instr.Call_reg r ->
-      if t.nats.(r) then
+      if nat t r then
         raise (Fault_exn (Fault.Nat_consumption Fault.Call_target));
-      let target = indirect_target t t.values.(r) in
+      let target = indirect_target t r in
       push_call t;
       goto t target
   | Instr.Ret ->
-      if Stack.is_empty t.call_stack then
-        raise (Fault_exn Fault.Call_stack_underflow);
-      let rip, unat = Stack.pop t.call_stack in
-      t.unat <- unat;
-      goto t rip
+      let cs = t.call_stack in
+      if cs.depth = 0 then raise (Fault_exn Fault.Call_stack_underflow);
+      let n = cs.depth - 1 in
+      cs.depth <- n;
+      set_unat_v t (get64 cs.ret_unats (n * 8));
+      goto t cs.ret_ips.(n)
   | Instr.Fetchadd { dst; addr; inc } ->
-      let a = t.values.(addr) in
-      if t.nats.(addr) then
+      let a = reg t addr in
+      if nat t addr then
         raise (Fault_exn (Fault.Nat_consumption Fault.Load_address));
-      if not (Shift_mem.Addr.is_valid a) then raise (Fault_exn (Fault.Invalid_address a));
-      let old = Shift_mem.Memory.read t.mem a ~width:8 in
-      Shift_mem.Memory.write t.mem a ~width:8 (Int64.add old t.values.(inc));
-      set_value t dst old;
-      set_nat t dst false;
+      if not (Addr.is_valid a) then raise (Fault_exn (Fault.Invalid_address a));
+      let old = Memory.read t.mem a ~width:8 in
+      Memory.write t.mem a ~width:8 (Int64.add old (reg t inc));
+      set_reg t dst old;
+      write_nat t dst false;
       t.stats.loads <- t.stats.loads + 1;
       t.stats.stores <- t.stats.stores + 1;
       if ft_on then Flowtrace.on_load ft t.ftregs ~ip:t.ip ~dst ~addr:a ~len:8;
@@ -323,11 +434,11 @@ let exec_op t (d : Decode.info) =
       (* under a per-instruction backend the marker is a coprocessor
          directive (mirrored by track_op), not a real NaT write — a
          stray NaT in uninstrumented code would fault *)
-      if not (Tracking.per_instr t.tracking) then set_nat t r true;
+      if not (Tracking.per_instr t.tracking) then write_nat t r true;
       if ft_on then Flowtrace.on_setnat ft t.ftregs ~ip:t.ip ~reg:r;
       t.ip <- t.ip + 1
   | Instr.Clrnat r ->
-      if not (Tracking.per_instr t.tracking) then set_nat t r false;
+      if not (Tracking.per_instr t.tracking) then write_nat t r false;
       if ft_on then Flowtrace.on_clrnat ft t.ftregs ~ip:t.ip ~reg:r;
       t.ip <- t.ip + 1
   | Instr.Syscall ->
@@ -376,23 +487,23 @@ let track_op t (d : Decode.info) =
         let s2 = match o with Instr.R r -> r | Instr.Imm _ -> Reg.zero in
         Tracking.push tk (Tracking.Union { dst; s1; s2 })
   | Instr.Ld { width; dst; addr; _ } ->
-      let a = t.values.(addr) in
-      if Shift_mem.Addr.is_valid a then begin
+      let a = reg t addr in
+      if Addr.is_valid a then begin
         if checks then
           Tracking.push tk (Tracking.Check { what = Tracking.Load_address; reg = addr });
         Tracking.push tk
           (Tracking.Load { dst; addr = a; len = Instr.bytes_of_width width })
       end
   | Instr.St { width; addr; src; _ } ->
-      let a = t.values.(addr) in
-      if Shift_mem.Addr.is_valid a then begin
+      let a = reg t addr in
+      if Addr.is_valid a then begin
         if checks then
           Tracking.push tk (Tracking.Check { what = Tracking.Store_address; reg = addr });
         Tracking.push tk
           (Tracking.Store { addr = a; len = Instr.bytes_of_width width; src })
       end
   | Instr.Fetchadd { dst; addr; _ } ->
-      if Shift_mem.Addr.is_valid t.values.(addr) then begin
+      if Addr.is_valid (reg t addr) then begin
         if checks then
           Tracking.push tk (Tracking.Check { what = Tracking.Load_address; reg = addr });
         Tracking.push tk (Tracking.Set { dst; tainted = false })
@@ -420,8 +531,8 @@ let finish t outcome =
    along with the provenance id of the address register.  The
    interpreter below and every superblock closure go through here, so
    the hardware trace cannot depend on which engine ran the access. *)
-let touch_cache t ~pc ~store ~areg addr =
-  let hit = Cache.access t.cache addr in
+let touch_cache t ~pc ~store ~areg pa =
+  let hit = Cache.access t.cache pa in
   let hw = t.hwtrace in
   if hw.Hwtrace.enabled then begin
     let prov =
@@ -431,7 +542,7 @@ let touch_cache t ~pc ~store ~areg addr =
       end
       else 0
     in
-    Hwtrace.record hw ~pc ~set:(Cache.set_of t.cache addr) ~hit ~store ~prov
+    Hwtrace.record hw ~pc ~set:(Cache.set_of t.cache pa) ~hit ~store ~prov
   end;
   hit
 
@@ -442,7 +553,7 @@ let step t =
     let start_ip = t.ip in
     let d = Array.unsafe_get t.decoded t.ip in
     (match t.trace with Some f -> f t t.ip t.program.code.(t.ip) | None -> ());
-    let executing = t.preds.(d.Decode.qp) in
+    let executing = Array.unsafe_get t.preds d.Decode.qp in
     t.stats.instructions <- t.stats.instructions + 1;
     t.stats.slots_by_prov.(d.Decode.prov_index) <-
       t.stats.slots_by_prov.(d.Decode.prov_index) + 1;
@@ -452,14 +563,14 @@ let step t =
     let latency =
       if executing && d.Decode.is_mem then
         match d.Decode.op with
-        | Instr.Ld { addr; _ }
-          when (not t.nats.(addr)) && Shift_mem.Addr.is_valid t.values.(addr) ->
-            if touch_cache t ~pc:start_ip ~store:false ~areg:addr t.values.(addr)
-            then d.Decode.latency
-            else d.Decode.latency + Cache.miss_penalty
-        | Instr.St { addr; _ }
-          when (not t.nats.(addr)) && Shift_mem.Addr.is_valid t.values.(addr) ->
-            ignore (touch_cache t ~pc:start_ip ~store:true ~areg:addr t.values.(addr));
+        | Instr.Ld { addr; _ } when not (nat t addr) ->
+            let pa = packed t addr in
+            if pa >= 0 && not (touch_cache t ~pc:start_ip ~store:false ~areg:addr pa)
+            then d.Decode.latency + Cache.miss_penalty
+            else d.Decode.latency
+        | Instr.St { addr; _ } when not (nat t addr) ->
+            let pa = packed t addr in
+            if pa >= 0 then ignore (touch_cache t ~pc:start_ip ~store:true ~areg:addr pa);
             d.Decode.latency
         | _ -> d.Decode.latency
       else d.Decode.latency
@@ -485,6 +596,344 @@ let step t =
       t.ip <- t.ip + 1;
       None
     end
+  end
+
+(* ---------- the compiled form, for superblocks ----------
+
+   [compile_exec] returns the functional effect of one instruction whose
+   qualifying predicate is true — the closure-compiled mirror of
+   [exec_op], with operand indices bound and [ft] (the
+   flowtrace.enabled value the enclosing block is compiled for) fixed,
+   fused with the instruction's pipeline [issue].
+   It lives next to [exec_op] so both use the same inlined value
+   semantics ([arith], [cond], [packed], the register accessors): a
+   compiled body keeps every register value unboxed and allocates
+   nothing.  Instructions with no specialised shape fall back to
+   [exec_op], which is identical by construction. *)
+
+let[@inline] next t = t.ip <- t.ip + 1
+
+let compile_exec (d : Decode.info) ~ft ~issue : t -> unit =
+  let generic t =
+    issue t.pipe;
+    exec_op t d
+  in
+  let skip t =
+    issue t.pipe;
+    next t
+  in
+  (* a constant into a register: movi, and lea with its resolved target *)
+  let const dst v =
+    if dst = Reg.zero then skip
+    else
+      let o = dst lsl 3 in
+      fun t ->
+        issue t.pipe;
+        set64 t.values o v;
+        put_nat t dst false;
+        if ft then Flowtrace.on_const t.flowtrace t.ftregs ~dst;
+        next t
+  in
+  match d.Decode.op with
+  | Instr.Nop -> skip
+  | Instr.Movi (dst, v) -> const dst v
+  | Instr.Lea (dst, _) -> const dst (Int64.of_int d.Decode.target)
+  | Instr.Mov (dst, src) ->
+      if dst = Reg.zero then skip
+      else
+        let o = dst lsl 3 and so = src lsl 3 in
+        fun t ->
+          issue t.pipe;
+          set64 t.values o (get64 t.values so);
+          put_nat t dst (nat t src);
+          if ft then Flowtrace.on_move t.flowtrace t.ftregs ~ip:t.ip ~dst ~src;
+          next t
+  | Instr.Arith (a, dst, s1, o) -> (
+      let can_fault = match a with Instr.Div | Instr.Rem -> true | _ -> false in
+      if dst = Reg.zero then if can_fault then generic else skip
+      else
+        (* one closure per operator: [arith] with a constant operator
+           folds to the single operation, so the body carries no
+           dispatch on [a] *)
+        let od = dst lsl 3 and o1 = s1 lsl 3 in
+        match o with
+        | Instr.Imm imm -> (
+            (* an immediate operand carries no NaT: the operand_nat read
+               is dropped *)
+            let rest t =
+              put_nat t dst (nat t s1);
+              if ft then
+                Flowtrace.on_arith t.flowtrace t.ftregs ~ip:t.ip ~dst ~src1:s1
+                  ~src2:None ~clear:false;
+              next t
+            in
+            match a with
+            | Instr.Add ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.Add (get64 t.values o1) imm);
+                  rest t
+            | Instr.Sub ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.Sub (get64 t.values o1) imm);
+                  rest t
+            | Instr.And ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.And (get64 t.values o1) imm);
+                  rest t
+            | Instr.Or ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.Or (get64 t.values o1) imm);
+                  rest t
+            | Instr.Xor ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.Xor (get64 t.values o1) imm);
+                  rest t
+            | Instr.Shl ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.Shl (get64 t.values o1) imm);
+                  rest t
+            | Instr.Shr ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith Instr.Shr (get64 t.values o1) imm);
+                  rest t
+            | _ ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith a (get64 t.values o1) imm);
+                  rest t)
+        | Instr.R s2 -> (
+            let clear =
+              match a with Instr.Xor | Instr.Sub -> s1 = s2 | _ -> false
+            in
+            let o2 = s2 lsl 3 and src2 = Some s2 in
+            let rest t =
+              put_nat t dst ((not clear) && (nat t s1 || nat t s2));
+              if ft then
+                Flowtrace.on_arith t.flowtrace t.ftregs ~ip:t.ip ~dst ~src1:s1
+                  ~src2 ~clear;
+              next t
+            in
+            match a with
+            | Instr.Add ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.Add (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | Instr.Sub ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.Sub (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | Instr.And ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.And (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | Instr.Or ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.Or (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | Instr.Xor ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.Xor (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | Instr.Shl ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.Shl (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | Instr.Shr ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od
+                    (arith Instr.Shr (get64 t.values o1) (get64 t.values o2));
+                  rest t
+            | _ ->
+                fun t ->
+                  issue t.pipe;
+                  set64 t.values od (arith a (get64 t.values o1) (get64 t.values o2));
+                  rest t))
+  | Instr.Cmp { cond = c; pt; pf; src1; src2; taint_aware } -> (
+      let o1 = src1 lsl 3 in
+      (* a NaT source clears both predicates unless taint-aware, as in
+         [exec_op] *)
+      let set t r =
+        set_pred t pt r;
+        set_pred t pf (not r)
+      and clear t =
+        set_pred t pt false;
+        set_pred t pf false
+      in
+      (* the condition as its outcome for each sign of one three-way
+         comparison, read off {!Cond.holds} once here, so the body
+         compares in place and calls nothing *)
+      let uns =
+        Cond.holds c ~signed:0 ~unsigned:(-1) <> Cond.holds c ~signed:0 ~unsigned:0
+        || Cond.holds c ~signed:0 ~unsigned:1 <> Cond.holds c ~signed:0 ~unsigned:0
+      in
+      let holds k = if uns then Cond.holds c ~signed:0 ~unsigned:k else Cond.holds c ~signed:k ~unsigned:0 in
+      let lt = holds (-1) and eq = holds 0 and gt = holds 1 in
+      let tainted t = (not taint_aware) && nat t src1 in
+      match src2 with
+      | Instr.Imm imm ->
+          fun t ->
+            issue t.pipe;
+            if tainted t then clear t
+            else begin
+              let x = get64 t.values o1 in
+              let k = if uns then Int64.unsigned_compare x imm else Int64.compare x imm in
+              set t (if k < 0 then lt else if k = 0 then eq else gt)
+            end;
+            next t
+      | Instr.R s2 ->
+          let o2 = s2 lsl 3 in
+          fun t ->
+            issue t.pipe;
+            if tainted t || ((not taint_aware) && nat t s2) then clear t
+            else begin
+              let x = get64 t.values o1 and y = get64 t.values o2 in
+              let k = if uns then Int64.unsigned_compare x y else Int64.compare x y in
+              set t (if k < 0 then lt else if k = 0 then eq else gt)
+            end;
+            next t)
+  | Instr.Tnat { pt; pf; src } ->
+      fun t ->
+        issue t.pipe;
+        let n = nat t src in
+        set_pred t pt n;
+        set_pred t pf (not n);
+        if ft then Flowtrace.on_check t.flowtrace t.ftregs ~ip:t.ip ~src ~tainted:n;
+        next t
+  | Instr.Extr { dst; src; pos; len } ->
+      if dst = Reg.zero then skip
+      else begin
+        let mask =
+          if len >= 64 then -1L
+          else Int64.sub (Int64.shift_left 1L (len land 63)) 1L
+        in
+        let sh = pos land 63 and o = dst lsl 3 and so = src lsl 3 in
+        fun t ->
+          issue t.pipe;
+          set64 t.values o
+            (Int64.logand (Int64.shift_right_logical (get64 t.values so) sh) mask);
+          put_nat t dst (nat t src);
+          if ft then Flowtrace.on_move t.flowtrace t.ftregs ~ip:t.ip ~dst ~src;
+          next t
+      end
+  | Instr.Chk_s { src; _ } ->
+      let target = d.Decode.target in
+      fun t ->
+        issue t.pipe;
+        let n = nat t src in
+        if ft then Flowtrace.on_check t.flowtrace t.ftregs ~ip:t.ip ~src ~tainted:n;
+        if n then begin
+          t.ip <- target;
+          t.stats.branches <- t.stats.branches + 1;
+          Pipeline.redirect t.pipe ~penalty:chk_penalty
+        end
+        else next t
+  | Instr.Br _ ->
+      let target = d.Decode.target in
+      fun t ->
+        issue t.pipe;
+        goto t target
+  | Instr.Halt | Instr.Ld _ | Instr.St _ | Instr.Br_reg _ | Instr.Call _
+  | Instr.Call_reg _ | Instr.Ret | Instr.Fetchadd _ | Instr.Setnat _
+  | Instr.Clrnat _ | Instr.Syscall ->
+      (* loads and stores are fused in [compile_instr] and reach here
+         only for their faulting paths *)
+      generic
+
+(* [compile_instr] wraps an instruction body with exactly [step]'s
+   timing work — predicated-off accounting, the cache consultation for
+   valid memory accesses, the pipeline issue — through a
+   {!Pipeline.compile_issue} closure specialised for the instruction's
+   operand shape.  Loads and stores are *fused*: the address check, the
+   cache lookup, the issue and the access itself are one closure, so
+   the machine state each stage needs is read once (the interpreter
+   reads it once in the timing prologue and again in [exec_op]).  An
+   access whose address or stored value fails its check runs [exec_op]
+   after the issue, which takes the same speculative-NaT or fault path
+   the interpreter takes. *)
+let compile_instr (decoded : Decode.t) ~ft pc : t -> unit =
+  let d = decoded.(pc) in
+  (* hooks fire only for original-program instructions: the SHIFT
+     instrumentation (non-Orig provenance) is transparent to the
+     provenance shadow, exactly as in [exec_op] *)
+  let ft = ft && d.Decode.prov_index = 0 in
+  let qp = d.Decode.qp in
+  let lat0 = d.Decode.latency in
+  let issue_at latency =
+    Pipeline.compile_issue ~reads:d.Decode.reads ~writes:d.Decode.writes
+      ~pred_writes:d.Decode.pred_writes ~qp ~is_mem:d.Decode.is_mem ~latency
+  in
+  let issue = issue_at lat0 in
+  let hot =
+    match d.Decode.op with
+    | Instr.Ld { width; dst; addr; fill; _ } ->
+        let w = Instr.bytes_of_width width in
+        let issue_miss = issue_at (lat0 + Cache.miss_penalty) in
+        fun t ->
+          let pa = if nat t addr then -1 else packed t addr in
+          if pa >= 0 then begin
+            if touch_cache t ~pc ~store:false ~areg:addr pa then issue t.pipe
+            else issue_miss t.pipe;
+            load_reg t pa ~width:w ~dst ~fill;
+            t.stats.loads <- t.stats.loads + 1;
+            if ft then
+              Flowtrace.on_load t.flowtrace t.ftregs ~ip:t.ip ~dst
+                ~addr:(Addr.unpack pa) ~len:w;
+            next t
+          end
+          else begin
+            issue t.pipe;
+            exec_op t d
+          end
+    | Instr.St { width; addr; src; spill } ->
+        let w = Instr.bytes_of_width width in
+        fun t ->
+          let pa = if nat t addr then -1 else packed t addr in
+          if pa >= 0 then ignore (touch_cache t ~pc ~store:true ~areg:addr pa);
+          issue t.pipe;
+          if pa < 0 || (nat t src && not spill) then exec_op t d
+          else begin
+            store_reg t pa ~width:w ~src ~spill;
+            t.stats.stores <- t.stats.stores + 1;
+            if ft then
+              Flowtrace.on_store t.flowtrace t.ftregs ~ip:t.ip ~src
+                ~addr:(Addr.unpack pa) ~len:w;
+            next t
+          end
+    | _ -> compile_exec d ~ft ~issue
+  in
+  if qp = Pred.p0 then
+    (* p0 is architecturally always true: the predicate read and the
+       predicated-off path are dropped *)
+    hot
+  else begin
+    let off = Pipeline.compile_issue_off ~qp in
+    fun t ->
+      if Array.unsafe_get t.preds qp then hot t
+      else begin
+        t.stats.predicated_off <- t.stats.predicated_off + 1;
+        off t.pipe;
+        next t
+      end
   end
 
 type status = [ `Yielded | `Finished of outcome ]

@@ -20,10 +20,18 @@ type t = {
   program : Shift_isa.Program.t;
   decoded : Decode.t;  (** per-instruction fast-path records, see {!Decode} *)
   mem : Shift_mem.Memory.t;
-  values : int64 array;
-  nats : bool array;
-  preds : bool array;
-  mutable unat : int64;
+  values : Bytes.t;
+      (** The register file: [Reg.count] little-endian 64-bit values,
+          register [r] at byte [8 * r].  Bytes rather than an [int64
+          array] so a register write stores the value in place instead
+          of boxing it.  Read and write through {!get_value}/{!set_value}
+          (which keep r0 at zero) outside the engines. *)
+  nats : bool array;  (** NaT bit per register *)
+  preds : bool array;  (** predicate registers; p0 is always true *)
+  unat : Bytes.t;
+      (** The UNAT register (spill/fill NaT bits), 8 little-endian bytes
+          so the spill path updates it without boxing; see
+          {!get_unat}/{!set_unat}. *)
   mutable ip : int;
   stats : Stats.t;
   pipe : Pipeline.t;
@@ -41,9 +49,12 @@ type t = {
   ftregs : Flowtrace.regs;  (** this hart's register provenance shadow *)
   mutable hwtrace : Hwtrace.t;
       (** Cache-set observation trace; {!Hwtrace.disabled} by default.
-          When live, every cache access recorded via {!touch_cache}
-          appends an entry — from either execution engine. *)
-  call_stack : (int * int64) Stack.t;
+          When live, every guest load/store that touches the cache
+          model appends an entry, through one gateway shared by both
+          execution engines. *)
+  call_stack : call_stack;
+      (** Return frames pushed by calls; see {!call_frames} and
+          {!set_call_frames}. *)
   sb : sb;  (** superblock compiler state; a derived cache, never snapshotted *)
   mutable tracking : Shift_tracking.Tracking.t;
       (** Taint-tracking backend handle ({!Shift_tracking.Tracking.default}
@@ -52,6 +63,16 @@ type t = {
           instruction into a tag-queue record; under [nat]/[none] the
           hook is a single never-taken branch.  SMP harts share one
           handle (one coprocessor per machine). *)
+}
+
+(** The call stack: frame [k] (0 = oldest) holds the return ip
+    [ret_ips.(k)] and the caller's UNAT in bytes [8k .. 8k+7] of
+    [ret_unats].  The arrays start empty and double on demand, up to the
+    100 000-frame limit past which a call faults. *)
+and call_stack = {
+  mutable ret_ips : int array;
+  mutable ret_unats : Bytes.t;
+  mutable depth : int;  (** live frames *)
 }
 
 (** State of the dynamic superblock compiler (driven by {!Superblock}).
@@ -89,8 +110,8 @@ exception Exit_requested of int64
 
 exception Fault_exn of Fault.t
 (** Internal control flow for faults; {!step} converts it to
-    {!Faulted}.  Exposed for {!Superblock}, whose compiled bodies must
-    raise and observe exactly what the interpreter does. *)
+    {!Faulted}.  Exposed for {!Superblock}, whose block driver observes
+    exactly what the interpreter does. *)
 
 exception Halt_exn of int64
 (** Internal control flow for [halt]; {!step} converts it to {!Exited}. *)
@@ -102,8 +123,21 @@ val create : ?entry:string -> ?mem:Shift_mem.Memory.t -> Shift_isa.Program.t -> 
 
 val get_value : t -> Shift_isa.Reg.t -> int64
 val set_value : t -> Shift_isa.Reg.t -> int64 -> unit
+(** Writes to r0 are discarded. *)
+
 val get_nat : t -> Shift_isa.Reg.t -> bool
 val set_nat : t -> Shift_isa.Reg.t -> bool -> unit
+val get_unat : t -> int64
+val set_unat : t -> int64 -> unit
+
+val call_frames : t -> (int * int64) list
+(** The call stack as (return ip, saved UNAT) pairs, top of stack
+    first. *)
+
+val set_call_frames : t -> (int * int64) list -> unit
+(** Replace the call stack with the given frames (top first), as
+    {!call_frames} returns them.
+    @raise Invalid_argument past the call-stack limit. *)
 
 val add_io_cycles : t -> int -> unit
 (** Charge I/O time from a syscall handler. *)
@@ -138,36 +172,18 @@ val step : t -> outcome option
 
 (** {1 Execution internals}
 
-    Exposed so {!Superblock} can compile instruction bodies that are
-    observably identical to {!step}.  Not a stable user API. *)
+    The constants {!step} charges, and the compiled form {!Superblock}
+    strings into blocks.  Not a stable user API. *)
 
 val branch_penalty : int
 val chk_penalty : int
 val syscall_overhead : int
 
-val eval_arith : Shift_isa.Instr.arith -> int64 -> int64 -> int64
-(** Arithmetic semantics; raises {!Fault_exn} on division by zero. *)
-
-val touch_cache : t -> pc:int -> store:bool -> areg:Shift_isa.Reg.t -> int64 -> bool
-(** The single gateway for guest loads/stores into the L1D model:
-    performs {!Cache.access} and, when {!field-hwtrace} is live, records
-    the set index, hit bit and the address register's provenance id.
-    [true] on hit.  Superblock closures must call this rather than
-    {!Cache.access} so both engines emit identical hardware traces. *)
-
-val set_pred : t -> Shift_isa.Pred.t -> bool -> unit
-(** Write a predicate register (writes to p0 are discarded). *)
-
-val unat_bit : int64 -> int
-(** UNAT bit index covering an 8-byte-aligned spill address. *)
-
-val goto : t -> int -> unit
-(** Taken control transfer: set [ip], count the branch, redirect the
-    pipeline with {!branch_penalty}. *)
-
-val exec_op : t -> Decode.info -> unit
-(** The functional effect of one instruction whose qualifying predicate
-    is true (advances [ip]; may raise {!Fault_exn}, {!Halt_exn} or the
-    syscall handler's exceptions).  Timing and statistics other than
-    per-op event counters are the caller's job, exactly as in
-    {!step}. *)
+val compile_instr : Decode.t -> ft:bool -> int -> t -> unit
+(** [compile_instr decoded ~ft pc] is instruction [pc] compiled to a
+    closure with exactly {!step}'s effect — timing, counters, caches,
+    faults, traces — except the [instructions] and [slots_by_prov]
+    bumps, which the block driver batches.  [ft] is the
+    [flowtrace.enabled] value the closure is specialised for.  It shares
+    {!step}'s value semantics in this module, keeps register values
+    unboxed and allocates nothing on its normal path. *)

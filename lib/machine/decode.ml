@@ -25,6 +25,15 @@ let latency_of (op : Instr.op) =
 
 let arr = function [] -> no_regs | l -> Array.of_list l
 
+(* The engines index the register file, the NaT bits and the predicates
+   without bounds checks, so every register and predicate operand is
+   checked here, once per static instruction. *)
+let check_one (i : Instr.t) what count r =
+  if r < 0 || r >= count then
+    invalid_arg (Printf.sprintf "Decode: %s %d out of range in %s" what r (Instr.to_string i))
+
+let check i what count operands = Array.iter (check_one i what count) operands
+
 let info_of program (i : Instr.t) =
   let target =
     match i.Instr.op with
@@ -32,16 +41,23 @@ let info_of program (i : Instr.t) =
     | Instr.Chk_s { recovery; _ } -> Program.target program recovery
     | _ -> -1
   in
-  {
-    op = i.Instr.op;
-    qp = i.Instr.qp;
-    prov_index = Prov.index i.Instr.prov;
-    latency = latency_of i.Instr.op;
-    is_mem = Instr.is_mem i.Instr.op;
-    reads = arr (Instr.reads i.Instr.op);
-    writes = arr (Instr.writes i.Instr.op);
-    pred_writes = arr (Instr.writes_preds i.Instr.op);
-    target;
-  }
+  let info =
+    {
+      op = i.Instr.op;
+      qp = i.Instr.qp;
+      prov_index = Prov.index i.Instr.prov;
+      latency = latency_of i.Instr.op;
+      is_mem = Instr.is_mem i.Instr.op;
+      reads = arr (Instr.reads i.Instr.op);
+      writes = arr (Instr.writes i.Instr.op);
+      pred_writes = arr (Instr.writes_preds i.Instr.op);
+      target;
+    }
+  in
+  check i "register" Reg.count info.reads;
+  check i "register" Reg.count info.writes;
+  check i "predicate" Pred.count info.pred_writes;
+  check_one i "predicate" Pred.count info.qp;
+  info
 
 let of_program (p : Program.t) = Array.map (info_of p) p.Program.code

@@ -32,7 +32,11 @@ type t = info array
 
 val of_program : Shift_isa.Program.t -> t
 (** Decode every instruction.  Assembly already checked all referenced
-    labels, so target resolution cannot fail. *)
+    labels, so target resolution cannot fail.
+    @raise Invalid_argument if a register operand is outside
+    [\[0, Reg.count)] or a predicate outside [\[0, Pred.count)] — the
+    engines rely on this to index the register file, NaT bits and
+    predicates without bounds checks. *)
 
 val latency_of : Shift_isa.Instr.op -> int
 (** The latency class (1 ALU, 2 load, 3 multiply, 12 divide). *)

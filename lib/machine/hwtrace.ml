@@ -20,9 +20,15 @@ type entry = {
   e_prov : int;  (* Flowtrace id of the address register; 0 = clean *)
 }
 
+(* The buffer is three parallel [int] arrays, so recording an access
+   allocates nothing: pc, set, and the provenance id with the hit and
+   store bits packed below it.  [get]/[entries] build [entry] records on
+   demand. *)
 type t = {
   mutable enabled : bool;
-  mutable buf : entry array;
+  mutable pcs : int array;
+  mutable sets : int array;
+  mutable flags : int array;  (* prov lsl 2 lor store lsl 1 lor hit *)
   mutable len : int;
   mutable dropped : int;
   limit : int;
@@ -30,31 +36,57 @@ type t = {
 
 let default_limit = 1 lsl 20
 
-let none = { e_pc = 0; e_set = 0; e_hit = false; e_store = false; e_prov = 0 }
-
 let disabled () =
-  { enabled = false; buf = [||]; len = 0; dropped = 0; limit = 0 }
+  { enabled = false; pcs = [||]; sets = [||]; flags = [||]; len = 0; dropped = 0; limit = 0 }
 
 let create ?(limit = default_limit) () =
-  { enabled = true; buf = Array.make 256 none; len = 0; dropped = 0; limit }
+  {
+    enabled = true;
+    pcs = Array.make 256 0;
+    sets = Array.make 256 0;
+    flags = Array.make 256 0;
+    len = 0;
+    dropped = 0;
+    limit;
+  }
+
+let grow a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let record t ~pc ~set ~hit ~store ~prov =
   if t.len >= t.limit then t.dropped <- t.dropped + 1
   else begin
-    if t.len = Array.length t.buf then begin
-      let grown = Array.make (max 256 (2 * t.len)) none in
-      Array.blit t.buf 0 grown 0 t.len;
-      t.buf <- grown
+    if t.len = Array.length t.pcs then begin
+      let n = max 256 (2 * t.len) in
+      t.pcs <- grow t.pcs n;
+      t.sets <- grow t.sets n;
+      t.flags <- grow t.flags n
     end;
-    t.buf.(t.len) <- { e_pc = pc; e_set = set; e_hit = hit; e_store = store; e_prov = prov };
-    t.len <- t.len + 1
+    let i = t.len in
+    Array.unsafe_set t.pcs i pc;
+    Array.unsafe_set t.sets i set;
+    Array.unsafe_set t.flags i
+      ((prov lsl 2) lor (if store then 2 else 0) lor if hit then 1 else 0);
+    t.len <- i + 1
   end
 
 let length t = t.len
 let dropped t = t.dropped
-let get t i = t.buf.(i)
 
-let entries t = Array.sub t.buf 0 t.len
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Hwtrace.get: index out of range";
+  let f = t.flags.(i) in
+  {
+    e_pc = t.pcs.(i);
+    e_set = t.sets.(i);
+    e_hit = f land 1 = 1;
+    e_store = f land 2 = 2;
+    e_prov = f asr 2;
+  }
+
+let entries t = Array.init t.len (get t)
 
 let clear t =
   t.len <- 0;

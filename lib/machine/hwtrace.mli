@@ -16,9 +16,15 @@ type entry = {
           address was clean (or flow tracing was off) *)
 }
 
+(** A trace buffer: three parallel [int] arrays whose first [len] slots
+    are live.  Recording stores plain [int]s, never an [entry] record,
+    so a live trace allocates only when its buffer grows. *)
 type t = {
   mutable enabled : bool;
-  mutable buf : entry array;  (** first [len] slots are live *)
+  mutable pcs : int array;
+  mutable sets : int array;
+  mutable flags : int array;
+      (** [e_prov lsl 2 lor e_store lsl 1 lor e_hit], bits as 0/1 *)
   mutable len : int;
   mutable dropped : int;  (** entries past [limit], counted not stored *)
   limit : int;
@@ -39,7 +45,11 @@ val record :
 val length : t -> int
 val dropped : t -> int
 val get : t -> int -> entry
+(** The [i]th recorded entry, built on demand.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
 val entries : t -> entry array
+(** All recorded entries, oldest first. *)
 
 val clear : t -> unit
 (** Forget recorded entries (keeps [enabled] as is). *)

@@ -63,10 +63,37 @@ let issue t ~executing ~reads ~writes ~pred_writes ~qp ~is_mem ~latency =
    (p0 is never scoreboarded, so its ready cycle is always 0), the
    operand loops are unrolled for the common arities, and the
    issue-group while loop is an if (one [next_cycle] resets both
-   counters below their limits).  [latency] stays a run-time argument —
-   loads only know theirs after the cache lookup. *)
+   counters below their limits).  [latency] is baked in too, so the
+   closure takes one argument and is entered without an arity check; a
+   load builds one closure for a cache hit and one for a miss. *)
 
-let compile_issue ~reads ~writes ~pred_writes ~qp ~is_mem =
+(* The inlined pieces of a compiled issue.  Register indices are
+   range-checked once, when the closure is built, so the scoreboard is
+   read without bounds checks. *)
+let[@inline] wait t r =
+  let c = Array.unsafe_get t.reg_ready r in
+  if c > t.cycle then begin
+    t.cycle <- c;
+    t.slots_used <- 0;
+    t.mem_used <- 0
+  end
+
+let[@inline] group t ~is_mem =
+  if t.slots_used >= width || (is_mem && t.mem_used >= mem_ports) then begin
+    t.cycle <- t.cycle + 1;
+    t.slots_used <- 0;
+    t.mem_used <- 0
+  end;
+  t.slots_used <- t.slots_used + 1;
+  if is_mem then t.mem_used <- t.mem_used + 1
+
+let compile_issue ~reads ~writes ~pred_writes ~qp ~is_mem ~latency =
+  let check r =
+    if r < 0 || r >= Shift_isa.Reg.count then
+      invalid_arg "Pipeline.compile_issue: register out of range"
+  in
+  Array.iter check reads;
+  Array.iter check writes;
   let live_writes =
     Array.of_list
       (List.filter (fun r -> r <> Shift_isa.Reg.zero) (Array.to_list writes))
@@ -76,15 +103,9 @@ let compile_issue ~reads ~writes ~pred_writes ~qp ~is_mem =
       (List.filter (fun p -> p <> Shift_isa.Pred.p0) (Array.to_list pred_writes))
   in
   let qp_live = qp <> Shift_isa.Pred.p0 in
-  let group t =
-    if t.slots_used >= width || (is_mem && t.mem_used >= mem_ports) then
-      next_cycle t;
-    t.slots_used <- t.slots_used + 1;
-    if is_mem then t.mem_used <- t.mem_used + 1
-  in
-  let finish t latency =
+  let finish t =
     for k = 0 to Array.length live_writes - 1 do
-      t.reg_ready.(Array.unsafe_get live_writes k) <- t.cycle + latency
+      Array.unsafe_set t.reg_ready (Array.unsafe_get live_writes k) (t.cycle + latency)
     done;
     for k = 0 to Array.length live_preds - 1 do
       t.pred_ready.(Array.unsafe_get live_preds k) <- t.cycle + 1
@@ -94,51 +115,68 @@ let compile_issue ~reads ~writes ~pred_writes ~qp ~is_mem =
     (qp_live, Array.length reads, Array.length live_writes,
      Array.length live_preds)
   with
-  | false, 0, 0, 0 -> fun t _latency -> group t
+  | false, 0, 0, 0 -> fun t -> group t ~is_mem
   | false, 1, 1, 0 ->
       let r0 = reads.(0) and w0 = live_writes.(0) in
-      fun t latency ->
-        advance_to t t.reg_ready.(r0);
-        group t;
-        t.reg_ready.(w0) <- t.cycle + latency
+      fun t ->
+        wait t r0;
+        group t ~is_mem;
+        Array.unsafe_set t.reg_ready w0 (t.cycle + latency)
   | false, 2, 1, 0 ->
       let r0 = reads.(0) and r1 = reads.(1) and w0 = live_writes.(0) in
-      fun t latency ->
-        advance_to t t.reg_ready.(r0);
-        advance_to t t.reg_ready.(r1);
-        group t;
-        t.reg_ready.(w0) <- t.cycle + latency
+      fun t ->
+        wait t r0;
+        wait t r1;
+        group t ~is_mem;
+        Array.unsafe_set t.reg_ready w0 (t.cycle + latency)
   | false, 0, 1, 0 ->
       let w0 = live_writes.(0) in
-      fun t latency ->
-        group t;
-        t.reg_ready.(w0) <- t.cycle + latency
+      fun t ->
+        group t ~is_mem;
+        Array.unsafe_set t.reg_ready w0 (t.cycle + latency)
   | false, 1, 0, 0 ->
       let r0 = reads.(0) in
-      fun t _latency ->
-        advance_to t t.reg_ready.(r0);
-        group t
+      fun t ->
+        wait t r0;
+        group t ~is_mem
   | false, 2, 0, 0 ->
       let r0 = reads.(0) and r1 = reads.(1) in
-      fun t _latency ->
-        advance_to t t.reg_ready.(r0);
-        advance_to t t.reg_ready.(r1);
-        group t
+      fun t ->
+        wait t r0;
+        wait t r1;
+        group t ~is_mem
+  | false, 1, 0, 2 ->
+      (* a compare against an immediate, or tnat *)
+      let r0 = reads.(0) and p0 = live_preds.(0) and p1 = live_preds.(1) in
+      fun t ->
+        wait t r0;
+        group t ~is_mem;
+        t.pred_ready.(p0) <- t.cycle + 1;
+        t.pred_ready.(p1) <- t.cycle + 1
+  | false, 2, 0, 2 ->
+      let r0 = reads.(0) and r1 = reads.(1) in
+      let p0 = live_preds.(0) and p1 = live_preds.(1) in
+      fun t ->
+        wait t r0;
+        wait t r1;
+        group t ~is_mem;
+        t.pred_ready.(p0) <- t.cycle + 1;
+        t.pred_ready.(p1) <- t.cycle + 1
   | false, _, _, _ ->
-      fun t latency ->
+      fun t ->
         for k = 0 to Array.length reads - 1 do
-          advance_to t t.reg_ready.(Array.unsafe_get reads k)
+          wait t (Array.unsafe_get reads k)
         done;
-        group t;
-        finish t latency
+        group t ~is_mem;
+        finish t
   | true, _, _, _ ->
-      fun t latency ->
+      fun t ->
         advance_to t t.pred_ready.(qp);
         for k = 0 to Array.length reads - 1 do
-          advance_to t t.reg_ready.(Array.unsafe_get reads k)
+          wait t (Array.unsafe_get reads k)
         done;
-        group t;
-        finish t latency
+        group t ~is_mem;
+        finish t
 
 (* The predicated-off half of [issue]: the slot is occupied after the
    qualifying predicate is ready, but no operand is waited for or

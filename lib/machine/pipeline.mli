@@ -44,17 +44,19 @@ val compile_issue :
   pred_writes:Shift_isa.Pred.t array ->
   qp:Shift_isa.Pred.t ->
   is_mem:bool ->
+  latency:int ->
   t ->
-  int ->
   unit
-(** [compile_issue ~reads ~writes ~pred_writes ~qp ~is_mem] is a closure
-    [fun t latency -> ...] performing exactly
+(** [compile_issue ~reads ~writes ~pred_writes ~qp ~is_mem ~latency] is
+    a closure [fun t -> ...] performing exactly
     [issue t ~executing:true ... ~latency]'s scoreboard transitions,
-    with the operand shape specialised at closure-build time (dead r0/p0
-    destinations filtered, loops unrolled, the qp wait dropped for p0).
-    Built once per instruction by the superblock compiler
-    ({!Superblock}); byte-identical timing to {!issue} is what keeps
-    superblock runs indistinguishable from interpreter runs. *)
+    with the operand shape and latency specialised at closure-build
+    time (dead r0/p0 destinations filtered, loops unrolled, the qp wait
+    dropped for p0).  Built per instruction by the superblock compiler
+    ({!Cpu.compile_instr}); byte-identical timing to {!issue} is what
+    keeps superblock runs indistinguishable from interpreter runs.
+    @raise Invalid_argument if a register index is out of range (the
+    closure reads the scoreboard unchecked). *)
 
 val compile_issue_off : qp:Shift_isa.Pred.t -> t -> unit
 (** The [executing:false] counterpart: a closure accounting a

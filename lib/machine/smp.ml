@@ -34,7 +34,7 @@ let spawn t ~parent ~entry ~arg =
   (* inherit the register file: the reserved instrumentation constants
      (implemented-bits mask, scratch slot, NaT source) must be live in
      the child too *)
-  Array.blit parent.Cpu.values 0 cpu.Cpu.values 0 (Array.length parent.Cpu.values);
+  Bytes.blit parent.Cpu.values 0 cpu.Cpu.values 0 (Bytes.length parent.Cpu.values);
   Array.blit parent.Cpu.nats 0 cpu.Cpu.nats 0 (Array.length parent.Cpu.nats);
   cpu.Cpu.syscall_handler <- parent.Cpu.syscall_handler;
   (* share the parent's flow trace (one ring per machine) and inherit

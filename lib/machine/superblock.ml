@@ -1,7 +1,9 @@
 (* The dynamic superblock compiler.
 
    Hot single-entry straight-line regions of the guest program are
-   compiled into chains of pre-resolved OCaml closures: operand indices,
+   compiled into chains of pre-resolved OCaml closures, one per
+   instruction, built by {!Cpu.compile_instr} next to the interpreter
+   whose value semantics they share: operand indices,
    immediates, branch targets, Extr masks, predicate liveness and
    flow-trace hooks are all bound at compile time, so the steady state
    executes block-to-block through the block cache without touching the
@@ -19,7 +21,7 @@
      always true, so the predicated-off path is provably dead);
    - NaT reads of immediate operands (an immediate's NaT is false);
    - arithmetic on a discarded destination when it cannot fault;
-   - the per-instruction flowtrace enabled check (each block is
+   - the per-instruction read of the live flowtrace flag (each block is
      specialised for one value of [flowtrace.enabled] and refused when
      the flag no longer matches);
    - per-instruction [instructions]/[slots_by_prov] bumps (batched per
@@ -69,387 +71,6 @@ let usable (t : Cpu.t) =
   (* compiled blocks bypass the per-instruction hook, so a decoupled
      tracking backend forces interpretation *)
   && not (Shift_tracking.Tracking.per_instr t.Cpu.tracking)
-
-(* ---------- instruction bodies ----------
-
-   [compile_exec] returns the functional effect of one instruction whose
-   qualifying predicate is true — the closure-compiled mirror of
-   [Cpu.exec_op], specialised for [ft] (the flowtrace.enabled value the
-   enclosing block is compiled for).  Instructions with no specialised
-   shape fall back to [Cpu.exec_op], which is identical by
-   construction. *)
-
-let compile_exec (d : Decode.info) ~ft : Cpu.t -> unit =
-  let generic = fun t -> Cpu.exec_op t d in
-  match d.Decode.op with
-  | Instr.Nop -> fun t -> t.Cpu.ip <- t.Cpu.ip + 1
-  | Instr.Halt -> fun t -> raise (Cpu.Halt_exn t.Cpu.values.(Reg.ret))
-  | Instr.Movi (dst, v) ->
-      if dst = Reg.zero then fun t -> t.Cpu.ip <- t.Cpu.ip + 1
-      else if ft then fun t ->
-        t.Cpu.values.(dst) <- v;
-        t.Cpu.nats.(dst) <- false;
-        Flowtrace.on_const t.Cpu.flowtrace t.Cpu.ftregs ~dst;
-        t.Cpu.ip <- t.Cpu.ip + 1
-      else fun t ->
-        t.Cpu.values.(dst) <- v;
-        t.Cpu.nats.(dst) <- false;
-        t.Cpu.ip <- t.Cpu.ip + 1
-  | Instr.Mov (dst, src) ->
-      if dst = Reg.zero then fun t -> t.Cpu.ip <- t.Cpu.ip + 1
-      else if ft then fun t ->
-        t.Cpu.values.(dst) <- t.Cpu.values.(src);
-        t.Cpu.nats.(dst) <- t.Cpu.nats.(src);
-        Flowtrace.on_move t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~dst ~src;
-        t.Cpu.ip <- t.Cpu.ip + 1
-      else fun t ->
-        t.Cpu.values.(dst) <- t.Cpu.values.(src);
-        t.Cpu.nats.(dst) <- t.Cpu.nats.(src);
-        t.Cpu.ip <- t.Cpu.ip + 1
-  | Instr.Lea (dst, _) ->
-      let v = Int64.of_int d.Decode.target in
-      if dst = Reg.zero then fun t -> t.Cpu.ip <- t.Cpu.ip + 1
-      else if ft then fun t ->
-        t.Cpu.values.(dst) <- v;
-        t.Cpu.nats.(dst) <- false;
-        Flowtrace.on_const t.Cpu.flowtrace t.Cpu.ftregs ~dst;
-        t.Cpu.ip <- t.Cpu.ip + 1
-      else fun t ->
-        t.Cpu.values.(dst) <- v;
-        t.Cpu.nats.(dst) <- false;
-        t.Cpu.ip <- t.Cpu.ip + 1
-  | Instr.Arith (a, dst, s1, o) ->
-      let clear_idiom =
-        match (a, o) with
-        | (Instr.Xor | Instr.Sub), Instr.R s2 -> s1 = s2
-        | _ -> false
-      in
-      let can_fault = match a with Instr.Div | Instr.Rem -> true | _ -> false in
-      if dst = Reg.zero then
-        if not can_fault then fun t -> t.Cpu.ip <- t.Cpu.ip + 1
-        else generic
-      else begin
-        let src2 = match o with Instr.R r -> Some r | Instr.Imm _ -> None in
-        match o with
-        | Instr.Imm imm ->
-            (* an immediate operand carries no NaT: the operand_nat read
-               is dropped *)
-            if ft then fun t ->
-              let v = Cpu.eval_arith a t.Cpu.values.(s1) imm in
-              t.Cpu.values.(dst) <- v;
-              t.Cpu.nats.(dst) <- t.Cpu.nats.(s1);
-              Flowtrace.on_arith t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~dst
-                ~src1:s1 ~src2 ~clear:false;
-              t.Cpu.ip <- t.Cpu.ip + 1
-            else fun t ->
-              let v = Cpu.eval_arith a t.Cpu.values.(s1) imm in
-              t.Cpu.values.(dst) <- v;
-              t.Cpu.nats.(dst) <- t.Cpu.nats.(s1);
-              t.Cpu.ip <- t.Cpu.ip + 1
-        | Instr.R s2 ->
-            if clear_idiom then
-              if ft then fun t ->
-                let v = Cpu.eval_arith a t.Cpu.values.(s1) t.Cpu.values.(s2) in
-                t.Cpu.values.(dst) <- v;
-                t.Cpu.nats.(dst) <- false;
-                Flowtrace.on_arith t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip
-                  ~dst ~src1:s1 ~src2 ~clear:true;
-                t.Cpu.ip <- t.Cpu.ip + 1
-              else fun t ->
-                let v = Cpu.eval_arith a t.Cpu.values.(s1) t.Cpu.values.(s2) in
-                t.Cpu.values.(dst) <- v;
-                t.Cpu.nats.(dst) <- false;
-                t.Cpu.ip <- t.Cpu.ip + 1
-            else if ft then fun t ->
-              let v = Cpu.eval_arith a t.Cpu.values.(s1) t.Cpu.values.(s2) in
-              t.Cpu.values.(dst) <- v;
-              t.Cpu.nats.(dst) <- t.Cpu.nats.(s1) || t.Cpu.nats.(s2);
-              Flowtrace.on_arith t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~dst
-                ~src1:s1 ~src2 ~clear:false;
-              t.Cpu.ip <- t.Cpu.ip + 1
-            else fun t ->
-              let v = Cpu.eval_arith a t.Cpu.values.(s1) t.Cpu.values.(s2) in
-              t.Cpu.values.(dst) <- v;
-              t.Cpu.nats.(dst) <- t.Cpu.nats.(s1) || t.Cpu.nats.(s2);
-              t.Cpu.ip <- t.Cpu.ip + 1
-      end
-  | Instr.Cmp { cond; pt; pf; src1; src2; taint_aware } -> (
-      match src2 with
-      | Instr.Imm imm ->
-          if taint_aware then fun t ->
-            let r = Cond.eval cond t.Cpu.values.(src1) imm in
-            Cpu.set_pred t pt r;
-            Cpu.set_pred t pf (not r);
-            t.Cpu.ip <- t.Cpu.ip + 1
-          else fun t ->
-            if t.Cpu.nats.(src1) then begin
-              Cpu.set_pred t pt false;
-              Cpu.set_pred t pf false
-            end
-            else begin
-              let r = Cond.eval cond t.Cpu.values.(src1) imm in
-              Cpu.set_pred t pt r;
-              Cpu.set_pred t pf (not r)
-            end;
-            t.Cpu.ip <- t.Cpu.ip + 1
-      | Instr.R s2 ->
-          if taint_aware then fun t ->
-            let r = Cond.eval cond t.Cpu.values.(src1) t.Cpu.values.(s2) in
-            Cpu.set_pred t pt r;
-            Cpu.set_pred t pf (not r);
-            t.Cpu.ip <- t.Cpu.ip + 1
-          else fun t ->
-            if t.Cpu.nats.(src1) || t.Cpu.nats.(s2) then begin
-              Cpu.set_pred t pt false;
-              Cpu.set_pred t pf false
-            end
-            else begin
-              let r = Cond.eval cond t.Cpu.values.(src1) t.Cpu.values.(s2) in
-              Cpu.set_pred t pt r;
-              Cpu.set_pred t pf (not r)
-            end;
-            t.Cpu.ip <- t.Cpu.ip + 1)
-  | Instr.Tnat { pt; pf; src } ->
-      if ft then fun t ->
-        let n = t.Cpu.nats.(src) in
-        Cpu.set_pred t pt n;
-        Cpu.set_pred t pf (not n);
-        Flowtrace.on_check t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~src
-          ~tainted:n;
-        t.Cpu.ip <- t.Cpu.ip + 1
-      else fun t ->
-        let n = t.Cpu.nats.(src) in
-        Cpu.set_pred t pt n;
-        Cpu.set_pred t pf (not n);
-        t.Cpu.ip <- t.Cpu.ip + 1
-  | Instr.Extr { dst; src; pos; len } ->
-      if dst = Reg.zero then fun t -> t.Cpu.ip <- t.Cpu.ip + 1
-      else begin
-        let mask =
-          if len >= 64 then -1L
-          else Int64.sub (Int64.shift_left 1L (len land 63)) 1L
-        in
-        let sh = pos land 63 in
-        if ft then fun t ->
-          t.Cpu.values.(dst) <-
-            Int64.logand (Int64.shift_right_logical t.Cpu.values.(src) sh) mask;
-          t.Cpu.nats.(dst) <- t.Cpu.nats.(src);
-          Flowtrace.on_move t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~dst ~src;
-          t.Cpu.ip <- t.Cpu.ip + 1
-        else fun t ->
-          t.Cpu.values.(dst) <-
-            Int64.logand (Int64.shift_right_logical t.Cpu.values.(src) sh) mask;
-          t.Cpu.nats.(dst) <- t.Cpu.nats.(src);
-          t.Cpu.ip <- t.Cpu.ip + 1
-      end
-  | Instr.Ld _ | Instr.St _ ->
-      (* loads and stores are compiled by the fused builders in
-         [compile_instr], which bind the cache consultation, the issue
-         and the access in one closure; this arm is only reached for the
-         shapes those builders decline (dst = r0, spill) *)
-      generic
-  | Instr.Chk_s { src; _ } ->
-      let target = d.Decode.target in
-      if ft then fun t ->
-        let n = t.Cpu.nats.(src) in
-        Flowtrace.on_check t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~src
-          ~tainted:n;
-        if n then begin
-          t.Cpu.ip <- target;
-          t.Cpu.stats.Stats.branches <- t.Cpu.stats.Stats.branches + 1;
-          Pipeline.redirect t.Cpu.pipe ~penalty:Cpu.chk_penalty
-        end
-        else t.Cpu.ip <- t.Cpu.ip + 1
-      else fun t ->
-        if t.Cpu.nats.(src) then begin
-          t.Cpu.ip <- target;
-          t.Cpu.stats.Stats.branches <- t.Cpu.stats.Stats.branches + 1;
-          Pipeline.redirect t.Cpu.pipe ~penalty:Cpu.chk_penalty
-        end
-        else t.Cpu.ip <- t.Cpu.ip + 1
-  | Instr.Br _ ->
-      let target = d.Decode.target in
-      fun t -> Cpu.goto t target
-  | Instr.Br_reg _ | Instr.Call _ | Instr.Call_reg _ | Instr.Ret
-  | Instr.Fetchadd _ | Instr.Setnat _ | Instr.Clrnat _ | Instr.Syscall ->
-      generic
-
-(* ---------- timing prologue and memory fusion ----------
-
-   [compile_instr] wraps an instruction body with exactly [Cpu.step]'s
-   timing work — predicated-off accounting, the cache consultation for
-   valid memory accesses, the pipeline issue — through a
-   {!Pipeline.compile_issue} closure specialised for the instruction's
-   operand shape.  Loads and stores are *fused*: the address read, the
-   NaT/validity test, the cache lookup, the issue and the access itself
-   are one closure, so the machine state each stage needs is read once
-   (the interpreter reads it once in the timing prologue and again in
-   [exec_op]). *)
-
-let compile_instr (decoded : Decode.t) ~ft pc : Cpu.t -> unit =
-  let d = decoded.(pc) in
-  (* hooks fire only for original-program instructions: the SHIFT
-     instrumentation (non-Orig provenance) is transparent to the
-     provenance shadow, exactly as in [Cpu.exec_op] *)
-  let ft = ft && d.Decode.prov_index = 0 in
-  let qp = d.Decode.qp in
-  let lat0 = d.Decode.latency in
-  let issue =
-    Pipeline.compile_issue ~reads:d.Decode.reads ~writes:d.Decode.writes
-      ~pred_writes:d.Decode.pred_writes ~qp ~is_mem:d.Decode.is_mem
-  in
-  let hot =
-    match d.Decode.op with
-    | Instr.Ld { width; dst; addr; spec; fill } when dst <> Reg.zero ->
-        let w = Instr.bytes_of_width width in
-        let invalid t a =
-          (* mirrors [Cpu.exec_op]'s invalid-load path; runs after the
-             issue, like the fault raised from [exec_op] *)
-          if spec then begin
-            t.Cpu.values.(dst) <- 0L;
-            t.Cpu.nats.(dst) <- true;
-            if ft then
-              Flowtrace.on_spec_nat t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip
-                ~dst;
-            t.Cpu.ip <- t.Cpu.ip + 1
-          end
-          else if t.Cpu.nats.(addr) then
-            raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Load_address))
-          else raise (Cpu.Fault_exn (Fault.Invalid_address a))
-        in
-        if ft then fun t ->
-          let a = t.Cpu.values.(addr) in
-          let ok = (not t.Cpu.nats.(addr)) && Addr.is_valid a in
-          issue t.Cpu.pipe
-            (if ok then
-               if Cpu.touch_cache t ~pc ~store:false ~areg:addr a then lat0
-               else lat0 + Cache.miss_penalty
-             else lat0);
-          if ok then begin
-            t.Cpu.values.(dst) <- Memory.read t.Cpu.mem a ~width:w;
-            t.Cpu.nats.(dst) <-
-              fill
-              && Int64.logand
-                   (Int64.shift_right_logical t.Cpu.unat (Cpu.unat_bit a))
-                   1L
-                 = 1L;
-            t.Cpu.stats.Stats.loads <- t.Cpu.stats.Stats.loads + 1;
-            Flowtrace.on_load t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~dst
-              ~addr:a ~len:w;
-            t.Cpu.ip <- t.Cpu.ip + 1
-          end
-          else invalid t a
-        else if fill then fun t ->
-          let a = t.Cpu.values.(addr) in
-          let ok = (not t.Cpu.nats.(addr)) && Addr.is_valid a in
-          issue t.Cpu.pipe
-            (if ok then
-               if Cpu.touch_cache t ~pc ~store:false ~areg:addr a then lat0
-               else lat0 + Cache.miss_penalty
-             else lat0);
-          if ok then begin
-            t.Cpu.values.(dst) <- Memory.read t.Cpu.mem a ~width:w;
-            t.Cpu.nats.(dst) <-
-              Int64.logand
-                (Int64.shift_right_logical t.Cpu.unat (Cpu.unat_bit a))
-                1L
-              = 1L;
-            t.Cpu.stats.Stats.loads <- t.Cpu.stats.Stats.loads + 1;
-            t.Cpu.ip <- t.Cpu.ip + 1
-          end
-          else invalid t a
-        else fun t ->
-          let a = t.Cpu.values.(addr) in
-          let ok = (not t.Cpu.nats.(addr)) && Addr.is_valid a in
-          issue t.Cpu.pipe
-            (if ok then
-               if Cpu.touch_cache t ~pc ~store:false ~areg:addr a then lat0
-               else lat0 + Cache.miss_penalty
-             else lat0);
-          if ok then begin
-            t.Cpu.values.(dst) <- Memory.read t.Cpu.mem a ~width:w;
-            t.Cpu.nats.(dst) <- false;
-            t.Cpu.stats.Stats.loads <- t.Cpu.stats.Stats.loads + 1;
-            t.Cpu.ip <- t.Cpu.ip + 1
-          end
-          else invalid t a
-    | Instr.St { width; addr; src; spill = false } ->
-        let w = Instr.bytes_of_width width in
-        if ft then fun t ->
-          let a = t.Cpu.values.(addr) in
-          let addr_nat = t.Cpu.nats.(addr) in
-          let valid = Addr.is_valid a in
-          if (not addr_nat) && valid then
-            ignore (Cpu.touch_cache t ~pc ~store:true ~areg:addr a);
-          issue t.Cpu.pipe lat0;
-          if addr_nat then
-            raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Store_address));
-          if not valid then raise (Cpu.Fault_exn (Fault.Invalid_address a));
-          if t.Cpu.nats.(src) then
-            raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Store_value));
-          Memory.write t.Cpu.mem a ~width:w t.Cpu.values.(src);
-          t.Cpu.stats.Stats.stores <- t.Cpu.stats.Stats.stores + 1;
-          Flowtrace.on_store t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~src
-            ~addr:a ~len:w;
-          t.Cpu.ip <- t.Cpu.ip + 1
-        else fun t ->
-          let a = t.Cpu.values.(addr) in
-          let addr_nat = t.Cpu.nats.(addr) in
-          let valid = Addr.is_valid a in
-          if (not addr_nat) && valid then
-            ignore (Cpu.touch_cache t ~pc ~store:true ~areg:addr a);
-          issue t.Cpu.pipe lat0;
-          if addr_nat then
-            raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Store_address));
-          if not valid then raise (Cpu.Fault_exn (Fault.Invalid_address a));
-          if t.Cpu.nats.(src) then
-            raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Store_value));
-          Memory.write t.Cpu.mem a ~width:w t.Cpu.values.(src);
-          t.Cpu.stats.Stats.stores <- t.Cpu.stats.Stats.stores + 1;
-          t.Cpu.ip <- t.Cpu.ip + 1
-    | Instr.Ld { addr; _ } ->
-        (* dst = r0: the load still times like a load (cache lookup,
-           latency) but executes through the generic interpreter body *)
-        let exec = compile_exec d ~ft in
-        fun t ->
-          let a = t.Cpu.values.(addr) in
-          let ok = (not t.Cpu.nats.(addr)) && Addr.is_valid a in
-          issue t.Cpu.pipe
-            (if ok then
-               if Cpu.touch_cache t ~pc ~store:false ~areg:addr a then lat0
-               else lat0 + Cache.miss_penalty
-             else lat0);
-          exec t
-    | Instr.St { addr; _ } ->
-        (* spill stores execute generically but time like stores *)
-        let exec = compile_exec d ~ft in
-        fun t ->
-          if (not t.Cpu.nats.(addr)) && Addr.is_valid t.Cpu.values.(addr) then
-            ignore
-              (Cpu.touch_cache t ~pc ~store:true ~areg:addr t.Cpu.values.(addr));
-          issue t.Cpu.pipe lat0;
-          exec t
-    | _ ->
-        let exec = compile_exec d ~ft in
-        fun t ->
-          issue t.Cpu.pipe lat0;
-          exec t
-  in
-  if qp = Pred.p0 then
-    (* p0 is architecturally always true: the predicate read and the
-       predicated-off path are dropped *)
-    hot
-  else begin
-    let off = Pipeline.compile_issue_off ~qp in
-    fun t ->
-      if t.Cpu.preds.(qp) then hot t
-      else begin
-        t.Cpu.stats.Stats.predicated_off <-
-          t.Cpu.stats.Stats.predicated_off + 1;
-        off t.Cpu.pipe;
-        t.Cpu.ip <- t.Cpu.ip + 1
-      end
-  end
 
 (* Compose the per-instruction closures into one body, four at a time so
    a 64-instruction block costs ~16 nested frames instead of 64. *)
@@ -523,7 +144,7 @@ let compile_block (t : Cpu.t) entry =
     if is_terminator d.Decode.op then stop := true
   done;
   let len = !len in
-  let fs = Array.init len (fun i -> compile_instr decoded ~ft (entry + i)) in
+  let fs = Array.init len (fun i -> Cpu.compile_instr decoded ~ft (entry + i)) in
   let provs =
     Array.init len (fun i -> decoded.(entry + i).Decode.prov_index)
   in
@@ -547,9 +168,9 @@ let compile_block (t : Cpu.t) entry =
    bumped for the whole block up front; if an exception cuts the block
    short, the unexecuted tail is unwound using the block's
    straight-line shape (the faulting instruction is [t.ip], so exactly
-   [ip - entry + 1] instructions retired).  Returns the instructions
-   spent and the terminal outcome, if any. *)
-let exec_block (t : Cpu.t) (b : Cpu.sb_block) =
+   [ip - entry + 1] instructions retired).  Adds the instructions spent
+   to [spent] and stores a terminal outcome, if any, in [out]. *)
+let exec_block (t : Cpu.t) (b : Cpu.sb_block) spent out =
   let st = t.Cpu.stats in
   st.Stats.instructions <- st.Stats.instructions + b.Cpu.sb_len;
   let sp = st.Stats.slots_by_prov in
@@ -563,7 +184,7 @@ let exec_block (t : Cpu.t) (b : Cpu.sb_block) =
   match b.Cpu.sb_body t with
   | () ->
       if batching then Flowtrace.end_batch ft;
-      (b.Cpu.sb_len, None)
+      spent := !spent + b.Cpu.sb_len
   | exception e ->
       if batching then Flowtrace.end_batch ft;
       let executed = t.Cpu.ip - b.Cpu.sb_entry + 1 in
@@ -575,9 +196,10 @@ let exec_block (t : Cpu.t) (b : Cpu.sb_block) =
         done
       end;
       (match e with
-      | Cpu.Fault_exn f -> (executed, Some (Cpu.Faulted (f, t.Cpu.ip)))
-      | Cpu.Halt_exn v | Cpu.Exit_requested v -> (executed, Some (Cpu.Exited v))
-      | e -> raise e)
+      | Cpu.Fault_exn f -> out := Some (Cpu.Faulted (f, t.Cpu.ip))
+      | Cpu.Halt_exn v | Cpu.Exit_requested v -> out := Some (Cpu.Exited v)
+      | e -> raise e);
+      spent := !spent + executed
 
 (* Interpret from the current ip up to and including the next block
    terminator (or until the budget, a terminal outcome, or a pc with a
@@ -639,9 +261,7 @@ let steps (t : Cpu.t) ~limit =
            | Some b when b.Cpu.sb_len <= limit - !spent ->
                sb.Cpu.sb_stats.Stats.sb_hits <-
                  sb.Cpu.sb_stats.Stats.sb_hits + 1;
-               let n, o = exec_block t b in
-               spent := !spent + n;
-               out := o
+               exec_block t b spent out
            | Some _ ->
                (* the budget cannot cover the block: interpret the tail
                   so the slice boundary is instruction-exact *)

@@ -19,6 +19,18 @@ let unimplemented_mask =
 let is_canonical a = Int64.equal (Int64.logand a unimplemented_mask) 0L
 let is_valid a = is_canonical a && Int64.unsigned_compare (offset a) null_guard >= 0
 
+(* A canonical address is its region and its implemented offset bits:
+   43 bits, so it fits an OCaml [int] exactly and crosses function
+   boundaries without being boxed. *)
+let pack a =
+  (Int64.to_int (Int64.shift_right_logical a region_shift) lsl impl_bits)
+  lor Int64.to_int (Int64.logand a impl_mask)
+
+let unpack p =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int (p lsr impl_bits)) region_shift)
+    (Int64.of_int (p land ((1 lsl impl_bits) - 1)))
+
 (* Figure 4: move the region number down and recombine with the
    implemented bits.  One tag bit per byte means the bitmap byte index is
    offset >> 3; one tag bit per 8-byte word means offset >> 6.  The

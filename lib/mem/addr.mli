@@ -42,6 +42,21 @@ val is_canonical : int64 -> bool
 val is_valid : int64 -> bool
 (** Canonical and outside the null guard page. *)
 
+(** {1 Packed addresses}
+
+    The hot path passes addresses between modules as [int]s, which are
+    never boxed: a canonical address is exactly its three region bits
+    and its {!impl_bits} implemented bits, packed as
+    [(region lsl impl_bits) lor offset].  Packing keeps the unsigned
+    order of canonical addresses and the low {!impl_bits} bits (page
+    offset, alignment, UNAT bit index) unchanged. *)
+
+val pack : int64 -> int
+(** Pack a canonical address (the result is meaningless for others). *)
+
+val unpack : int -> int64
+(** Inverse of {!pack}. *)
+
 (** {1 Tag-space translation (Figure 4)} *)
 
 val tag_addr : Granularity.t -> int64 -> int64

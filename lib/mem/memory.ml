@@ -7,20 +7,26 @@ let page_mask = Int64.of_int (page_size - 1)
    pair can never go stale: a hit always returns the live backing store,
    and writes through a hit land in the same bytes the hashtable holds.
    64 entries cover the working set of one simulated program (code pages
-   are not in this table; data, stack and the taint bitmap are). *)
+   are not in this table; data, stack and the taint bitmap are).
+
+   A page key is [a >>> 12], below 2^52 for every 64-bit address, so
+   keys are plain [int]s: the table and the TLB never box them. *)
 let tlb_bits = 6
 let tlb_size = 1 lsl tlb_bits
 
 type t = {
-  pages : (int64, bytes) Hashtbl.t;
-  tlb_keys : int64 array; (* page key per slot; -1 = empty (keys are >= 0) *)
+  pages : (int, bytes) Hashtbl.t;
+  tlb_keys : int array; (* page key per slot; -1 = empty (keys are >= 0) *)
   tlb_pages : bytes array;
   (* Write watch: observers of guest stores into [watch_lo, watch_hi)
      (the superblock compiler watches the code region so stores there
      invalidate covering blocks).  The hot-path cost when nothing is
-     watched is one physical list-emptiness check per store. *)
+     watched is one physical list-emptiness check per store.  The
+     packed bounds serve the packed-address entry points. *)
   mutable watch_lo : int64;
   mutable watch_hi : int64;
+  mutable watch_plo : int;
+  mutable watch_phi : int;
   mutable watchers : (int64 -> int -> unit) list;
 }
 
@@ -31,14 +37,18 @@ let no_page = Bytes.create 0
 let create () =
   {
     pages = Hashtbl.create 1024;
-    tlb_keys = Array.make tlb_size (-1L);
+    tlb_keys = Array.make tlb_size (-1);
     tlb_pages = Array.make tlb_size no_page;
     watch_lo = 0L;
     watch_hi = 0L;
+    watch_plo = 0;
+    watch_phi = 0;
     watchers = [];
   }
 
 let watch t ~lo ~hi f =
+  if not (Addr.is_canonical lo && Addr.is_canonical hi) then
+    invalid_arg "Memory.watch: bounds must be canonical addresses";
   (match t.watchers with
   | [] ->
       t.watch_lo <- lo;
@@ -46,6 +56,8 @@ let watch t ~lo ~hi f =
   | _ ->
       if Int64.unsigned_compare lo t.watch_lo < 0 then t.watch_lo <- lo;
       if Int64.unsigned_compare hi t.watch_hi > 0 then t.watch_hi <- hi);
+  t.watch_plo <- Addr.pack t.watch_lo;
+  t.watch_phi <- Addr.pack t.watch_hi;
   t.watchers <- f :: t.watchers
 
 (* Fire the watchers when [a, a+len) intersects the watched range.
@@ -62,23 +74,31 @@ let notify t a len =
         && Int64.unsigned_compare (Int64.add a (Int64.of_int len)) t.watch_lo > 0
       then List.iter (fun f -> f a len) ws
 
+(* the same test on a packed address: packing keeps the order of
+   canonical addresses, and an access end that carries out of the
+   implemented bits compares the same way in both forms *)
+let notify_packed t pa len =
+  match t.watchers with
+  | [] -> ()
+  | ws ->
+      if len > 0 && pa < t.watch_phi && pa + len > t.watch_plo then
+        let a = Addr.unpack pa in
+        List.iter (fun f -> f a len) ws
+
 let page_of_key t key =
-  match Hashtbl.find_opt t.pages key with
-  | Some p -> p
-  | None ->
+  match Hashtbl.find t.pages key with
+  | p -> p
+  | exception Not_found ->
       let p = Bytes.make page_size '\000' in
       Hashtbl.add t.pages key p;
       p
 
-(* The steady-state lookup: one shift, one masked array probe.  Page
-   keys are [a >>> 12], hence non-negative, so -1 is a safe empty mark
-   and [Int64.to_int] is exact. *)
-let page t a =
-  let key = Int64.shift_right_logical a page_shift in
+(* The steady-state lookup: one masked array probe.  Keys are
+   non-negative, so -1 is a safe empty mark. *)
+let page_at t key =
   if !fast_path then begin
-    let slot = Int64.to_int key land (tlb_size - 1) in
-    if Int64.equal (Array.unsafe_get t.tlb_keys slot) key then
-      Array.unsafe_get t.tlb_pages slot
+    let slot = key land (tlb_size - 1) in
+    if Array.unsafe_get t.tlb_keys slot = key then Array.unsafe_get t.tlb_pages slot
     else begin
       let p = page_of_key t key in
       Array.unsafe_set t.tlb_keys slot key;
@@ -87,6 +107,8 @@ let page t a =
     end
   end
   else page_of_key t key
+
+let page t a = page_at t (Int64.to_int (Int64.shift_right_logical a page_shift))
 
 let read_u8 t a =
   let p = page t a in
@@ -146,6 +168,45 @@ let write t a ~width v =
     notify t a width
   end
   else write_ref t a ~width v
+
+(* Packed-address entry points for the instruction engines.  The value
+   moves between the page and the 8-byte register slot [dst]/[src] at
+   [pos] without surfacing as an [int64], so neither the call nor the
+   access allocates.  Slow paths (page-crossing accesses, exotic widths,
+   the reference mode) go through the byte walk above. *)
+
+let page_key_packed pa =
+  ((pa lsr Addr.impl_bits) lsl (Addr.region_shift - page_shift))
+  lor ((pa land ((1 lsl Addr.impl_bits) - 1)) lsr page_shift)
+
+let load t pa ~width dst pos =
+  let off = pa land (page_size - 1) in
+  if !fast_path && off + width <= page_size then begin
+    let p = page_at t (page_key_packed pa) in
+    match width with
+    | 8 -> Bytes.set_int64_le dst pos (Bytes.get_int64_le p off)
+    | 4 ->
+        Bytes.set_int64_le dst pos
+          (Int64.logand (Int64.of_int32 (Bytes.get_int32_le p off)) 0xffffffffL)
+    | 2 -> Bytes.set_int64_le dst pos (Int64.of_int (Bytes.get_uint16_le p off))
+    | 1 -> Bytes.set_int64_le dst pos (Int64.of_int (Char.code (Bytes.unsafe_get p off)))
+    | _ -> Bytes.set_int64_le dst pos (read_ref t (Addr.unpack pa) ~width)
+  end
+  else Bytes.set_int64_le dst pos (read_ref t (Addr.unpack pa) ~width)
+
+let store t pa ~width src pos =
+  let off = pa land (page_size - 1) in
+  if !fast_path && off + width <= page_size then begin
+    let p = page_at t (page_key_packed pa) in
+    (match width with
+    | 8 -> Bytes.set_int64_le p off (Bytes.get_int64_le src pos)
+    | 4 -> Bytes.set_int32_le p off (Bytes.get_int32_le src pos)
+    | 2 -> Bytes.set_uint16_le p off (Bytes.get_uint16_le src pos)
+    | 1 -> Bytes.unsafe_set p off (Bytes.get src pos)
+    | _ -> write_ref t (Addr.unpack pa) ~width (Bytes.get_int64_le src pos));
+    notify_packed t pa width
+  end
+  else write_ref t (Addr.unpack pa) ~width (Bytes.get_int64_le src pos)
 
 (* String transfers reuse the page fast path: one blit per page the
    range touches instead of one hashtable probe per character. *)
@@ -243,18 +304,17 @@ let clone t =
 let zero_page = Bytes.make page_size '\000'
 
 let fold_pages t ~init ~f =
-  let keys =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.pages []
-    |> List.sort Int64.unsigned_compare
-  in
+  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] |> List.sort compare in
   List.fold_left
     (fun acc key ->
       let p = Hashtbl.find t.pages key in
-      if Bytes.equal p zero_page then acc else f acc key p)
+      if Bytes.equal p zero_page then acc else f acc (Int64.of_int key) p)
     init keys
 
 let load_page t key data =
   if String.length data <> page_size then
     invalid_arg "Memory.load_page: page data must be exactly page_size bytes";
-  let p = page_of_key t key in
+  if Int64.compare key 0L < 0 || Int64.compare key (Int64.shift_left 1L 52) >= 0 then
+    invalid_arg "Memory.load_page: page key out of range";
+  let p = page_of_key t (Int64.to_int key) in
   Bytes.blit_string data 0 p 0 page_size

@@ -27,7 +27,8 @@ val watch : t -> lo:int64 -> hi:int64 -> (int64 -> int -> unit) -> unit
     re-notify per byte.  Reads never notify.  The superblock compiler
     uses this to invalidate compiled blocks on stores into the code
     region; when no watcher is registered the cost is one list check
-    per write. *)
+    per write.
+    @raise Invalid_argument if a bound is not a canonical address. *)
 
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
@@ -37,6 +38,16 @@ val read : t -> int64 -> width:int -> int64
 
 val write : t -> int64 -> width:int -> int64 -> unit
 (** Little-endian write of the low [width] bytes of the value. *)
+
+val load : t -> int -> width:int -> Bytes.t -> int -> unit
+(** [load t pa ~width dst pos] is {!read} at the packed address [pa]
+    (see {!Addr.pack}) into the little-endian 8-byte slot of [dst] at
+    [pos]: the instruction engines' load path, which never boxes the
+    value. *)
+
+val store : t -> int -> width:int -> Bytes.t -> int -> unit
+(** [store t pa ~width src pos] is {!write} at the packed address [pa]
+    of the low [width] bytes of the 8-byte slot of [src] at [pos]. *)
 
 val read_ref : t -> int64 -> width:int -> int64
 val write_ref : t -> int64 -> width:int -> int64 -> unit

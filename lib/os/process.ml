@@ -84,22 +84,16 @@ let current t =
 
 (* ---------- fork ---------- *)
 
-let copy_call_stack src dst =
-  Stack.clear dst;
-  List.iter
-    (fun frame -> Stack.push frame dst)
-    (List.rev (List.of_seq (Stack.to_seq src)))
-
 let fork_cpu (parent : Cpu.t) =
   (* private copy of the address space — and, because tags live in
      guest memory, of the whole taint bitmap *)
   let mem = Memory.clone parent.Cpu.mem in
   let cpu = Cpu.create ~mem parent.Cpu.program in
-  Array.blit parent.Cpu.values 0 cpu.Cpu.values 0 (Array.length parent.Cpu.values);
+  Bytes.blit parent.Cpu.values 0 cpu.Cpu.values 0 (Bytes.length parent.Cpu.values);
   Array.blit parent.Cpu.nats 0 cpu.Cpu.nats 0 (Array.length parent.Cpu.nats);
   Array.blit parent.Cpu.preds 0 cpu.Cpu.preds 0 (Array.length parent.Cpu.preds);
-  cpu.Cpu.unat <- parent.Cpu.unat;
-  copy_call_stack parent.Cpu.call_stack cpu.Cpu.call_stack;
+  Cpu.set_unat cpu (Cpu.get_unat parent);
+  Cpu.set_call_frames cpu (Cpu.call_frames parent);
   (* resume right after the fork syscall, with the child's return
      value: 0, clean *)
   cpu.Cpu.ip <- parent.Cpu.ip + 1;

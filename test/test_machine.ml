@@ -512,8 +512,40 @@ let engine_tests =
            Shift_machine.Stats.total_slots s = 99));
   ]
 
+(* the engines index registers and predicates unchecked, so decoding
+   refuses an operand out of range instead of executing it *)
+let decode_tests =
+  let refused what items =
+    tc what (fun () ->
+        match Cpu.create (build items) with
+        | _ -> Alcotest.failf "%s: decoded" what
+        | exception Invalid_argument _ -> ())
+  in
+  [
+    refused "a register past r127 is refused" [ m (Instr.Mov (6, Reg.count)); m Instr.Halt ];
+    refused "a negative register is refused" [ m (Instr.Movi (-1, 0L)); m Instr.Halt ];
+    refused "a predicate past p63 is refused"
+      [ m ~qp:Pred.count (Instr.Movi (6, 0L)); m Instr.Halt ];
+  ]
+
+let indirect_tests =
+  [
+    tc "an indirect branch past 2^62 faults at the branch" (fun () ->
+        let cpu, outcome =
+          run [ m (Instr.Movi (14, 0x4000_0000_0000_0005L)); m (Instr.Br_reg 14); m Instr.Halt ]
+        in
+        (match outcome with
+        | Cpu.Faulted (Fault.Invalid_branch v, pc) ->
+            Util.check_i64 "target" 0x4000_0000_0000_0005L v;
+            Util.check_int "faulting pc" 1 pc
+        | _ -> Alcotest.fail "expected an invalid-branch fault");
+        Util.check_int "no branch taken" 0 cpu.Cpu.stats.Shift_machine.Stats.branches);
+  ]
+
 let suites =
   [
+    ("machine.decode", decode_tests);
+    ("machine.indirect", indirect_tests);
     ("machine.arith", arith_tests);
     ("machine.nat", nat_tests);
     ("machine.nat-faults", nat_fault_tests);

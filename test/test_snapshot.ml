@@ -312,9 +312,63 @@ let fleet_tests =
         Util.check_string "byte-identical fleet JSON" plain sliced);
   ]
 
+(* ---------- import checks on ip and call-stack targets ---------- *)
+
+(* the JSON of an mcf word checkpoint taken a few slices in, with the
+   single hart's object rewritten by [f] *)
+let edited_hart f =
+  let k = kernel "mcf" in
+  let config = kernel_config k in
+  let live = Shift.Session.start ~config (Shift.Session.build ~mode:Mode.shift_word k.Spec.program) in
+  for _ = 1 to 3 do
+    ignore (Shift.Session.advance live ~budget:5000)
+  done;
+  let module R = Shift.Results in
+  let on_field name g = function
+    | R.Obj fields -> R.Obj (List.map (fun (k, v) -> if k = name then (k, g v) else (k, v)) fields)
+    | _ -> Alcotest.failf "expected an object around %S" name
+  in
+  Shift.Snapshot.to_json (Shift.Session.checkpoint live)
+  |> on_field "machine" (on_field "hart" f)
+  |> Shift.Snapshot.of_json
+
+let refused what needle = function
+  | Ok _ -> Alcotest.failf "%s: snapshot accepted" what
+  | Error e ->
+      if not (Str_exists.contains e needle) then
+        Alcotest.failf "%s: error %S does not mention %S" what e needle
+
+let target_tests =
+  let module R = Shift.Results in
+  let set name v = function
+    | R.Obj fields -> R.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) fields)
+    | j -> j
+  in
+  [
+    tc "an ip far past the program is refused" (fun () ->
+        refused "ip 99999999" "ip 99999999" (edited_hart (set "ip" (R.Int 99999999))));
+    tc "a negative ip is refused" (fun () ->
+        refused "ip -1" "ip -1" (edited_hart (set "ip" (R.Int (-1)))));
+    tc "a call-stack return target past the program is refused" (fun () ->
+        refused "return target" "return target 99999999"
+          (edited_hart
+             (set "call_stack" (R.List [ R.List [ R.Int 99999999; R.String "0" ] ]))));
+    tc "an ip at the end of the program is accepted" (fun () ->
+        (* where a program that runs off its last instruction stands *)
+        let size =
+          Shift_isa.Program.size
+            (Shift.Session.build ~mode:Mode.shift_word (kernel "mcf").Spec.program)
+              .Shift_compiler.Image.program
+        in
+        match edited_hart (set "ip" (R.Int size)) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "refused: %s" e);
+  ]
+
 let suites =
   [
     ("snapshot.roundtrip", roundtrip_tests);
     ("snapshot.pages", page_tests);
     ("snapshot.fleet", fleet_tests);
+    ("snapshot.targets", target_tests);
   ]

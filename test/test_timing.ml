@@ -70,7 +70,8 @@ let pipeline_tests =
         Util.check_int "hundred" 100 (Pipeline.cycles p));
   ]
 
-let addr k = Int64.of_int (0x10000 + k)
+(* packed addresses; region-0 addresses below 2^40 pack to themselves *)
+let addr k = 0x10000 + k
 
 let cache_tests =
   [
@@ -89,16 +90,16 @@ let cache_tests =
         let c = Cache.create ~size_kb:16 ~line_bytes:64 () in
         (* 16KB direct mapped: addresses 16KB apart conflict *)
         ignore (Cache.access c (addr 0));
-        ignore (Cache.access c (Int64.add (addr 0) (Int64.of_int (16 * 1024))));
+        ignore (Cache.access c (addr 0 + (16 * 1024)));
         Util.check_bool "evicted" false (Cache.access c (addr 0)));
     tc "working set under the capacity stays resident" (fun () ->
         let c = Cache.create ~size_kb:16 ~line_bytes:64 () in
         for k = 0 to 127 do
-          ignore (Cache.access c (Int64.of_int (0x40000 + (k * 64))))
+          ignore (Cache.access c (0x40000 + (k * 64)))
         done;
         let before = Cache.hits c in
         for k = 0 to 127 do
-          ignore (Cache.access c (Int64.of_int (0x40000 + (k * 64))))
+          ignore (Cache.access c (0x40000 + (k * 64)))
         done;
         Util.check_int "all hits on the second pass" (before + 128) (Cache.hits c));
     tc "larger footprint misses more (byte-vs-word bitmap effect)" (fun () ->
@@ -107,7 +108,7 @@ let cache_tests =
           for round = 1 to 2 do
             ignore round;
             for k = 0 to count - 1 do
-              ignore (Cache.access c (Int64.of_int (0x80000 + (k * stride))))
+              ignore (Cache.access c (0x80000 + (k * stride)))
             done
           done;
           Cache.misses c

@@ -10,7 +10,7 @@ module World = Shift_os.World
 let tc = Util.tc
 
 (* small inputs keep the whole matrix fast *)
-let small_size (k : Spec.kernel) = max 64 (k.Spec.default_size / 8)
+let small_size = Golden_runs.small_size
 
 let run_kernel ?(tainted = true) ~mode (k : Spec.kernel) =
   Shift.Session.run ~policy:Shift_policy.Policy.default
